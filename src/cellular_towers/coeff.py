@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from math import gcd as int_gcd
+from operator import add, sub
 
 from ._kernel import (
     terms_add,
@@ -152,8 +153,9 @@ class LaurentPoly:
             exp, c = u
             if c not in (1, -1):
                 raise CoefficientRingError(f"negative power of non-unit {self}")
+            # c is ±1, so c**(-k) is c for odd k and 1 for even k
             return LaurentPoly._raw(
-                self.vars, {tuple(k * x for x in exp): c if k % 2 == 0 or c == 1 else -1}
+                self.vars, {tuple(k * x for x in exp): c if k % 2 else 1}
             )
         out = LaurentPoly.one(self.vars)
         base = self
@@ -481,6 +483,14 @@ class RationalFunction:
     no common (polynomial or monomial) factor, integer contents coprime, and
     the denominator's lex-leading coefficient positive.  Equal values are
     structurally equal.
+
+    When the value is L / c for a Laurent polynomial L and an integer c --
+    the common case, since the bases live over Z[δ] and Q(q) -- the
+    denominator is the monomial c·x^s with c > 0 and coprime to the content
+    of L, and s minimal, i.e. s_i = max(0, -min_i L); the numerator is the
+    ordinary polynomial L·x^s.  `_monomial_fraction` produces this form in
+    one pass, and products and sums of two such fractions use it directly
+    instead of the gcd path.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -551,6 +561,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
+            return _monomial_sum(self, o, terms_add)
         if self.den == o.den:
             return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -561,6 +573,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
+            return _monomial_sum(self, o, terms_sub)
         if self.den == o.den:
             return RationalFunction(self.num - o.num, self.den)
         return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
@@ -580,6 +594,19 @@ class RationalFunction:
             return NotImplemented
         if not self.num.terms or not o.num.terms:
             return RationalFunction.zero(self.vars)
+        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
+            # monomial denominators: no cross-reduction, one canonicalization
+            (e1, c1), = self.den.terms.items()
+            (e2, c2), = o.den.terms.items()
+            return RationalFunction(
+                *_monomial_fraction(
+                    self.vars,
+                    terms_mul(self.num.terms, o.num.terms),
+                    tuple(map(add, e1, e2)),
+                    c1 * c2,
+                ),
+                _reduced=True,
+            )
         # cross-reduce first; keeps intermediate gcds small
         a, b = _reduce_fraction(self.num, o.den)
         c, d = _reduce_fraction(o.num, self.den)
@@ -661,36 +688,64 @@ class RationalFunction:
         return cls(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]))
 
 
+def _monomial_fraction(vars, terms, exp, c):
+    """Canonical (num, den) of terms / (c·x^exp); see RationalFunction.
+
+    One pass finds the numerator's minimum exponents, an integer gcd is taken
+    only when |c| > 1, and one new term map applies the exponent shift and
+    the content division together.
+    """
+    if not terms:
+        return LaurentPoly._raw(vars, {}), LaurentPoly.one(vars)
+    lo = map(min, zip(*terms))
+    # the denominator keeps x^s with s_i = max(0, exp_i - lo_i); the
+    # numerator moves by s - exp
+    shift = tuple(-min(e, m) for e, m in zip(exp, lo))
+    g = int_gcd(c, *terms.values()) if c > 1 or c < -1 else 1
+    if c < 0:
+        g = -g
+    den = LaurentPoly._raw(vars, {tuple(map(add, exp, shift)): c // g})
+    # always a fresh map: a kernel result that had cancellations keeps an
+    # oversized table, and canonical fractions are what the solvers store
+    if any(shift):
+        terms = {tuple(map(add, e, shift)): k // g for e, k in terms.items()}
+    else:
+        terms = {e: k // g for e, k in terms.items()}
+    return LaurentPoly._raw(vars, terms), den
+
+
+def _monomial_sum(a, b, combine):
+    """a ± b for two canonical fractions with monomial denominators.
+
+    `combine` is `terms_add` or `terms_sub`; it is applied over the least
+    common monomial denominator.
+    """
+    (ea, ca), = a.den.terms.items()
+    (eb, cb), = b.den.terms.items()
+    exp = tuple(map(max, ea, eb))
+    c = ca // int_gcd(ca, cb) * cb
+    ta, tb = a.num.terms, b.num.terms
+    if ea != exp or ca != c:
+        ta = terms_mul_monomial(ta, tuple(map(sub, exp, ea)), c // ca)
+    if eb != exp or cb != c:
+        tb = terms_mul_monomial(tb, tuple(map(sub, exp, eb)), c // cb)
+    return RationalFunction(
+        *_monomial_fraction(a.vars, combine(ta, tb), exp, c), _reduced=True
+    )
+
+
 def _reduce_fraction(num, den):
     """Canonicalize a Laurent fraction; see RationalFunction docstring."""
+    if len(den.terms) == 1:
+        (exp, c), = den.terms.items()
+        return _monomial_fraction(num.vars, num.terms, exp, c)
     if num.is_zero():
         return num, LaurentPoly.one(num.vars)
-    n = len(num.vars)
     mn, md = num.min_exponents(), den.min_exponents()
     shift = tuple(-min(a, b) for a, b in zip(mn, md))
     if any(shift):
         num = LaurentPoly._raw(num.vars, terms_mul_monomial(num.terms, shift, 1))
         den = LaurentPoly._raw(den.vars, terms_mul_monomial(den.terms, shift, 1))
-    ud = den.as_unit()
-    if ud is not None:
-        exp, c = ud
-        # denominator is a monomial: fold it into the numerator where possible
-        g = int_gcd(abs(num.int_content()), abs(c))
-        if c < 0:
-            g = -g
-        num = LaurentPoly._raw(
-            num.vars,
-            terms_mul_monomial(
-                {e: k // g for e, k in num.terms.items()}, tuple(-x for x in exp), 1
-            ),
-        )
-        den = LaurentPoly.const(num.vars, c // g)
-        mn = num.min_exponents()
-        if any(x < 0 for x in mn):
-            shift = tuple(-min(x, 0) for x in mn)
-            num = LaurentPoly._raw(num.vars, terms_mul_monomial(num.terms, shift, 1))
-            den = LaurentPoly._raw(den.vars, terms_mul_monomial(den.terms, shift, 1))
-        return num, den
     cn, cd = num.int_content(), den.int_content()
     cg = int_gcd(abs(cn), abs(cd))
     if cg > 1:

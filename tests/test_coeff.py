@@ -216,3 +216,58 @@ def test_json_schema_fields():
     data = p.to_json()
     assert data["vars"] == ["q", "z", DELTA]
     assert data["terms"] == [{"exp": [1, 0, 0], "coef": "1"}]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("e", [-2, -1, 0, 1, 3])
+def test_negative_powers_of_signed_monomials(sign, e):
+    x = LaurentPoly(QV, {(e,): sign})
+    for k in range(-3, 4):
+        power = x ** k
+        if k < 0:
+            assert power == (x ** -1) ** -k
+        assert power.terms == {(k * e,): sign ** abs(k)}
+        assert power * x ** -k == LaurentPoly.one(QV)
+
+
+# cofactors that make a monomial denominator non-monomial, so the reference
+# goes through the gcd path of the canonicalization
+COFACTORS = {
+    QV: LaurentPoly(QV, {(1,): 1, (0,): 2}),
+    QZV: LaurentPoly(QZV, {(1, 1): 1, (0, 0): 3}),
+    DV: LaurentPoly(DV, {(1,): 1, (0,): 2}),
+}
+
+
+@st.composite
+def monomial_fractions(draw, vars):
+    exps = st.tuples(*(st.integers(-4, 4) for _ in vars))
+    terms = draw(st.dictionaries(exps, st.integers(-12, 12), max_size=4))
+    c = draw(st.integers(-12, 12).filter(bool))
+    return LaurentPoly(vars, terms), LaurentPoly(vars, {draw(exps): c})
+
+
+def _via_gcd_path(num, den):
+    cof = COFACTORS[num.vars]
+    return RationalFunction(num * cof, den * cof)
+
+
+def _same(fast, ref):
+    assert fast.num.terms == ref.num.terms
+    assert fast.den.terms == ref.den.terms
+    assert fast.num.vars == ref.num.vars and fast.den.vars == ref.den.vars
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_denominators_match_gcd_path(data):
+    vars = data.draw(st.sampled_from([QV, QZV, DV]))
+    n1, d1 = data.draw(monomial_fractions(vars))
+    n2, d2 = data.draw(monomial_fractions(vars))
+    a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+    _same(a, _via_gcd_path(n1, d1))
+    _same(b, _via_gcd_path(n2, d2))
+    _same(a * b, _via_gcd_path(n1 * n2, d1 * d2))
+    _same(a + b, _via_gcd_path(n1 * d2 + n2 * d1, d1 * d2))
+    _same(a - b, _via_gcd_path(n1 * d2 - n2 * d1, d1 * d2))
+    assert a.den.lead_coeff() > 0 and a.num.is_ordinary() and a.den.is_ordinary()
