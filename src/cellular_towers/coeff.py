@@ -16,7 +16,7 @@ Q(q, z) that sends δ to (z⁻¹ − z)/(q⁻¹ − q) + 1.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cache, reduce
 from math import gcd as int_gcd
 from operator import add, sub
 
@@ -384,8 +384,19 @@ def poly_content_pp(p, k):
 def poly_gcd(a, b):
     """gcd of two ordinary (non-negative exponent) polynomials over Z.
 
-    Normalized so the lex-leading coefficient is positive.  Uses the
-    primitive PRS; fine at the degrees this package meets.
+    Normalized so the lex-leading coefficient is positive.  The integer
+    contents are split off first.  Then, for each variable x_k in which both
+    primitive parts have positive degree, a modular image tests them for a
+    common factor: reduce modulo the prime `_FILTER_PRIME`, send every other
+    variable to its residue in `_FILTER_POINTS`, and take the gcd in
+    Z_p[x_k].  The image of the true gcd divides both images, and it keeps
+    its x_k-degree when the images keep theirs; so if both leading
+    coefficients survive and the images are coprime, the true gcd has degree
+    0 in x_k.  When that holds for every such variable, the gcd is the gcd
+    of the contents.  Otherwise (an image lost its degree, or the images
+    share a factor, which an unlucky prime or point can also cause) the
+    primitive PRS computes the gcd, so the answer never depends on the
+    filter.  (Brown 1971; Zippel 1979.)
     """
     if a.vars != b.vars:
         raise CoefficientRingError("gcd across different rings")
@@ -397,8 +408,74 @@ def poly_gcd(a, b):
     cg = int_gcd(abs(ca), abs(cb))
     a = LaurentPoly._raw(a.vars, {e: c // ca for e, c in a.terms.items()})
     b = LaurentPoly._raw(b.vars, {e: c // cb for e, c in b.terms.items()})
+    if _coprime_images(a, b):
+        return LaurentPoly.const(a.vars, cg)
     g = _poly_gcd_prim(a, b)
     return _pos_normal(g * cg)
+
+
+#: modulus and evaluation points of the coprimality filter in `poly_gcd`.
+#: They are fixed, not random, so that runs repeat exactly; any choice keeps
+#: the filter exact, and a bad one only sends more pairs to the PRS.
+#: Variable j goes to _FILTER_POINTS[j % len(_FILTER_POINTS)].
+_FILTER_PRIME = 2**31 - 1
+_FILTER_POINTS = (1_234_567_891, 987_654_321, 1_357_913_579)
+
+
+def _coprime_images(a, b):
+    """True when modular images prove gcd(a, b) has degree 0 in every variable."""
+    for k, (da, db) in enumerate(zip(a.max_exponents(), b.max_exponents())):
+        if da and db:
+            fa = _image_mod_p(a.terms, k, da)
+            if fa is None:
+                return False
+            fb = _image_mod_p(b.terms, k, db)
+            if fb is None or not _coprime_mod_p(fa, fb):
+                return False
+    return True
+
+
+def _image_mod_p(terms, k, deg):
+    """Dense image of an ordinary term map in Z_p[x_k], lowest degree first.
+
+    Every other variable goes to its filter point.  None when the leading
+    coefficient in x_k vanishes, i.e. the image has degree below `deg`.
+    """
+    p = _FILTER_PRIME
+    points = _FILTER_POINTS
+    out = [0] * (deg + 1)
+    for exp, c in terms.items():
+        for j, x in enumerate(exp):
+            if x and j != k:
+                c = c * pow(points[j % len(points)], x, p) % p
+        out[exp[k]] += c
+    out = [c % p for c in out]
+    return out if out[deg] else None
+
+
+def _coprime_mod_p(f, g):
+    """Whether two dense polynomials of positive degree are coprime in Z_p[x].
+
+    Euclid's algorithm; it consumes both lists.
+    """
+    p = _FILTER_PRIME
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        # f <- f mod g, in place
+        inv = pow(g[-1], -1, p)
+        dg = len(g) - 1
+        while len(f) > dg:
+            c = f.pop() * inv % p
+            s = len(f) - dg
+            for i in range(dg):
+                f[s + i] = (f[s + i] - c * g[i]) % p
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
 
 
 def _active_var(a, b):
@@ -815,8 +892,9 @@ def specialize(p, assignment, target_vars=None):
     return out
 
 
+@cache
 def delta_as_qz():
-    """δ's image (z⁻¹ − z)/(q⁻¹ − q) + 1 in Q(q, z)."""
+    """δ's image (z⁻¹ − z)/(q⁻¹ − q) + 1 in Q(q, z); built once, shared."""
     zi = LaurentPoly.gen(QZV, Z, -1) - LaurentPoly.gen(QZV, Z)
     qi = LaurentPoly.gen(QZV, Q, -1) - LaurentPoly.gen(QZV, Q)
     return RationalFunction(zi, qi) + RationalFunction.one(QZV)

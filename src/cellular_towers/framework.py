@@ -213,6 +213,13 @@ class CellDatum:
                 for ti, dt in enumerate(d_elts):
                     self.index.append((v, si, ti))
                     self.elements[(v, si, ti)] = t.mul(left, dt)
+        self._certify()
+
+    def _certify(self):
+        """Insert the elements into a fresh solver in `index` order; set
+        `free` (no element depends on earlier ones) and, when they span
+        A_n, the transition determinant `det`."""
+        t = self.t
         self.solver = SpanSolver()
         self.free = True
         for key in self.index:
@@ -221,8 +228,8 @@ class CellDatum:
                 self.free = False
                 break
         self.det = None
-        if self.free and self.solver.rank == dim:
-            self.det = self.solver.det_unit(sorted(t.basis_keys(n), key=t.key_str))
+        if self.free and self.solver.rank == t.dim(self.n):
+            self.det = self.solver.det_unit(sorted(t.basis_keys(self.n), key=t.key_str))
 
     def express(self, x):
         """Coordinates of x over the cellular basis; None if x lies outside
@@ -271,18 +278,7 @@ class CellDatum:
         new.vertices, new.paths, new.index = self.vertices, self.paths, self.index
         new.elements = dict(self.elements)
         new.elements[key] = element
-        new.solver = SpanSolver()
-        new.free = True
-        for k in new.index:
-            status, _ = new.solver.insert(new.t.vector(new.elements[k]))
-            if status != "new":
-                new.free = False
-                break
-        new.det = None
-        if new.free and new.solver.rank == new.t.dim(new.n):
-            new.det = new.solver.det_unit(
-                sorted(new.t.basis_keys(new.n), key=new.t.key_str)
-            )
+        new._certify()
         return new
 
 

@@ -1,8 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellular_towers import coeff
 from cellular_towers.coeff import (
     DELTA,
     DV,
@@ -271,3 +273,63 @@ def test_monomial_denominators_match_gcd_path(data):
     _same(a + b, _via_gcd_path(n1 * d2 + n2 * d1, d1 * d2))
     _same(a - b, _via_gcd_path(n1 * d2 - n2 * d1, d1 * d2))
     assert a.den.lead_coeff() > 0 and a.num.is_ordinary() and a.den.is_ordinary()
+
+
+def _gcd_by_prs(a, b):
+    """The reference: content split, primitive PRS, sign normalization."""
+    ca, cb = a.int_content(), b.int_content()
+    a = LaurentPoly(a.vars, {e: c // ca for e, c in a.terms.items()})
+    b = LaurentPoly(b.vars, {e: c // cb for e, c in b.terms.items()})
+    return coeff._pos_normal(coeff._poly_gcd_prim(a, b) * gcd(ca, cb))
+
+
+@st.composite
+def ordinary_polys(draw, vars, max_terms, max_deg):
+    exps = st.tuples(*(st.integers(0, max_deg) for _ in vars))
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9), min_size=1, max_size=max_terms))
+    return LaurentPoly(vars, terms)
+
+
+# degrees stay at 2 per variable: the PRS reference takes seconds on some
+# trivariate pairs of degree 3
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gcd_filter_matches_prs(data):
+    vars = data.draw(st.sampled_from([QV, QZV, QZDV]))
+    a = data.draw(ordinary_polys(vars, 4, 2))
+    b = data.draw(ordinary_polys(vars, 4, 2))
+    if data.draw(st.booleans()):
+        common = data.draw(ordinary_polys(vars, 3, 2))
+        a, b = a * common, b * common
+    a = a * data.draw(st.integers(1, 12))
+    b = b * data.draw(st.integers(-12, -1) | st.integers(1, 12))
+    if a.is_zero() or b.is_zero():
+        return
+    g = poly_gcd(a, b)
+    assert g.vars == vars
+    assert g.terms == _gcd_by_prs(a, b).terms
+
+
+def test_gcd_filter_unlucky_point_falls_through():
+    # z - q and z - r map to the same z - r when q goes to its point r, so
+    # the images share a root although the polynomials are coprime
+    r = coeff._FILTER_POINTS[0]
+    q, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
+    a, b = z - q, z - r
+    assert not coeff._coprime_images(a, b)
+    assert poly_gcd(a, b) == 1
+    assert poly_gcd(2 * a * (z + 1), 6 * b * (z + 1)) == 2 * (z + 1)
+
+
+def test_gcd_filter_vanishing_leading_coefficient_falls_through():
+    # the leading coefficient q - r of a in z vanishes at q's point r
+    r = coeff._FILTER_POINTS[0]
+    q, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
+    a = (q - r) * z ** 2 + 1
+    assert coeff._image_mod_p(a.terms, 1, 2) is None
+    assert not coeff._coprime_images(a, z + 5)
+    assert poly_gcd(a, z + 5) == 1
+    # the common factor (q - r)z + 1 maps to the constant 1, so the images
+    # z + 2 and z + 3 are coprime although the polynomials are not
+    g = (q - r) * z + 1
+    assert poly_gcd(g * (z + 2), g * (z + 3)) == g
