@@ -1,23 +1,65 @@
-"""Select the term-map kernel: compiled extension if available, else pure Python.
+"""Term-map kernels for exact Laurent-polynomial arithmetic.
 
-Set CELLULAR_TOWERS_PURE=1 to force the pure-Python kernel (used by the
-benchmark and by CI to exercise both paths).
+A term map is a dict sending exponent vectors (tuples of ints, possibly
+negative) to nonzero Python ints.  These functions are the hot inner loop
+of every algebra computation in the package.  Zero coefficients are never
+stored.
 """
 
-import os
+KERNEL = "python"
 
-if os.environ.get("CELLULAR_TOWERS_PURE") == "1":
-    from . import _poly_py as _impl
-else:
-    try:
-        from . import _poly_core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _poly_py as _impl
 
-KERNEL = _impl.KERNEL
-terms_add = _impl.terms_add
-terms_sub = _impl.terms_sub
-terms_neg = _impl.terms_neg
-terms_scale = _impl.terms_scale
-terms_mul = _impl.terms_mul
-terms_mul_monomial = _impl.terms_mul_monomial
+def terms_add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = s
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def terms_sub(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp, 0) - c
+        if s:
+            out[exp] = s
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def terms_neg(a):
+    return {exp: -c for exp, c in a.items()}
+
+
+def terms_scale(a, k):
+    if k == 0:
+        return {}
+    if k == 1:
+        return dict(a)
+    return {exp: c * k for exp, c in a.items()}
+
+
+def terms_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def terms_mul_monomial(a, exp, k):
+    """a * k*x^exp; exp is an exponent tuple, k a nonzero int."""
+    return {tuple(x + y for x, y in zip(e, exp)): c * k for e, c in a.items()}

@@ -19,8 +19,6 @@ it is eliminated into Q(q, z).
 
 from __future__ import annotations
 
-import os
-import threading
 from functools import cache
 
 from .coeff import (
@@ -36,7 +34,7 @@ from .coeff import (
     specialize,
 )
 from .diagrams import BrauerDiagram, DiagramElement, brauer_basis, double_factorial_odd
-from .errors import BoundExceededError, DomainError, InternalInvariantError
+from .errors import BoundExceededError, DomainError, InternalInvariantError, max_level
 from .hecke import HeckeElement, reduced_word
 from .linalg import SpanSolver
 
@@ -58,7 +56,7 @@ DEFAULT_BOUND = 4
 
 
 def rank_bound():
-    return int(os.environ.get("CELLULAR_TOWERS_MAX_LEVEL", DEFAULT_BOUND))
+    return max_level(DEFAULT_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +489,12 @@ def _relation_list(n):
     return tuple(tuple(r) for r in rels)
 
 
-_MODEL_LOCK = threading.Lock()
-
-
 @cache
 def bmw_model(n):
     """The certified rank-n model; built once and shared read-only."""
     if n > rank_bound():
         raise BoundExceededError(f"rank {n} exceeds the configured bound {rank_bound()}")
-    with _MODEL_LOCK:
-        return _Model(n)
+    return _Model(n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import BoundExceededError, CellularTowersError, InternalInvariantError
+from .errors import BoundExceededError, CellularTowersError, InternalInvariantError, max_level
 from . import framework as fw
 from .towers import TOWERS, tower
 
 ALGEBRAS = ("hecke", "brauer", "bmw", "tl", "partition")
+FORMATS = ("json", "text")
+# config-file key -> argument dest
+CONFIG_KEYS = {"algebra": "algebra", "n": "level", "level": "level",
+               "out": "out", "format": "format", "jobs": "jobs"}
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -32,10 +34,7 @@ EXIT_INTERNAL = 3
 
 
 def _bound(t):
-    env = os.environ.get("CELLULAR_TOWERS_MAX_LEVEL")
-    if env is not None:
-        return int(env)
-    return t.default_bound
+    return max_level(t.default_bound)
 
 
 def _check_level(t, n):
@@ -156,15 +155,7 @@ def cmd_verify(args):
     t = tower(args.algebra)
     _check_level(t, args.level)
     checks = _verify_checks(args)
-    results = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in checks]
-            for name, fut in futures:
-                results[name] = bool(fut.result())
-    else:
-        for name, fn in checks:
-            results[name] = bool(fn())
+    results = {name: bool(fn()) for name, fn in checks}
     report = {
         "algebra": args.algebra,
         "level": args.level,
@@ -201,7 +192,8 @@ def cmd_dims(args):
 
 
 def _load_config(path):
-    """Flat KEY=VALUE file; later flags override these values."""
+    """Flat KEY=VALUE file of subcommand defaults, keyed by argument dest;
+    flags on the command line override them.  Unknown keys are ignored."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -211,11 +203,18 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            dest = CONFIG_KEYS.get(k.strip())
+            if dest is not None:
+                out[dest] = v.strip()
+    # argparse converts string defaults with `type` but never checks `choices`
+    if out.get("format", "json") not in FORMATS:
+        raise ValueError(f"bad config format {out['format']!r}; choose from {FORMATS}")
     return out
 
 
-def build_parser():
+def build_parser(config=None):
+    """The CLI parser; `config` (from `_load_config`) supplies subcommand defaults."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="cellular-towers",
         description="Exact cellular bases for towers of diagram algebras.",
@@ -224,11 +223,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, level_required=True):
-        p.add_argument("--algebra", choices=ALGEBRAS, required=True)
-        p.add_argument("--n", "--level", dest="level", type=int, required=level_required)
+        p.add_argument("--algebra", choices=ALGEBRAS, required="algebra" not in config)
+        p.add_argument("--n", "--level", dest="level", type=int,
+                       required=level_required and "level" not in config)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--format", choices=FORMATS, default="json")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored; checks run one after another")
+        p.set_defaults(**config)
 
     p = sub.add_parser("gen-basis", help="construct a cellular basis as JSON")
     common(p)
@@ -249,18 +251,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    # --config is read first: its values become the subcommand's defaults
+    pre = argparse.ArgumentParser(prog="cellular-towers", add_help=False)
+    pre.add_argument("--config", default=None)
     try:
-        args = parser.parse_args(argv)
+        config_path = pre.parse_known_args(argv)[0].config
+        config = _load_config(config_path) if config_path else {}
+        args = build_parser(config).parse_args(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.config:
-        defaults = _load_config(args.config)
-        for key, value in defaults.items():
-            attr = {"algebra": "algebra", "n": "level", "level": "level",
-                    "out": "out", "format": "format", "jobs": "jobs"}.get(key)
-            if attr and parser.get_default(attr) == getattr(args, attr, None):
-                setattr(args, attr, int(value) if attr in ("level", "jobs") else value)
     try:
         return args.fn(args)
     except BoundExceededError as exc:

@@ -204,14 +204,6 @@ class LaurentPoly:
             return (0,) * n
         return tuple(max(exp[i] for exp in self.terms) for i in range(n))
 
-    def constant_value(self):
-        if not self.terms:
-            return 0
-        exp, c = next(iter(self.terms.items()))
-        if len(self.terms) != 1 or any(exp):
-            raise CoefficientRingError(f"{self} is not constant")
-        return c
-
     def int_content(self):
         """gcd of the integer coefficients, with the sign of the lex-leading one."""
         if not self.terms:

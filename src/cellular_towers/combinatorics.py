@@ -111,10 +111,6 @@ def remove_node(lam, node):
     return tuple(p for p in rows if p)
 
 
-def nodes_of(lam):
-    return [(i + 1, j + 1) for i, p in enumerate(lam) for j in range(p)]
-
-
 # ---------------------------------------------------------------------------
 # tableaux
 # ---------------------------------------------------------------------------
@@ -400,10 +396,6 @@ def vertex_gt(u, v):
     if l != m:
         return l > m
     return dominance_gt(lam, mu)
-
-
-def vertex_geq(u, v):
-    return u == v or vertex_gt(u, v)
 
 
 # ---------------------------------------------------------------------------

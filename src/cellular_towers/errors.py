@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the level bound."""
+
+import os
 
 
 class CellularTowersError(Exception):
@@ -23,3 +25,16 @@ class BoundExceededError(CellularTowersError):
 
 class InternalInvariantError(CellularTowersError):
     """A 'cannot happen' condition; indicates a bug, not a caller error."""
+
+
+def max_level(default):
+    """The level bound: CELLULAR_TOWERS_MAX_LEVEL if set, else `default`."""
+    env = os.environ.get("CELLULAR_TOWERS_MAX_LEVEL")
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise BoundExceededError(
+            f"CELLULAR_TOWERS_MAX_LEVEL must be an integer, got {env!r}"
+        ) from None

@@ -12,7 +12,6 @@ basis (cached per rank); no rewriting mod the ideal is ever trusted.
 from __future__ import annotations
 
 import itertools
-import threading
 from functools import cache
 
 from .coeff import Q, QV, LaurentPoly, RationalFunction, specialize
@@ -71,11 +70,6 @@ def perm_s(i, n):
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def perm_cycle(a, n):
-    """The cycle (n, n-1, ..., a) = s_a s_{a+1} ... s_{n-1}: a -> n, j -> j-1."""
-    return tuple([*range(1, a), n, *range(a, n)]) if a < n else perm_id(n)
 
 
 def reduced_word(w):
@@ -377,23 +371,19 @@ def murphy_basis_json(n):
     ]
 
 
-_SOLVER_LOCK = threading.Lock()
-
-
 @cache
 def _murphy_solver(n):
-    # built once per rank and then shared read-only; construction serialized
-    with _SOLVER_LOCK:
-        # pivoting on short permutations keeps the reduction near-triangular
-        solver = SpanSolver(pivot_key=lambda w: (perm_len(w), w))
-        index = []
-        for lam, s, t, el in murphy_basis(n):
-            vec = {w: _rf(c) for w, c in el.coeffs.items()}
-            status, _ = solver.insert(vec)
-            if status != "new":
-                raise InternalInvariantError("Murphy family is linearly dependent")
-            index.append((lam, s, t))
-        return solver, tuple(index)
+    # built once per rank and then shared read-only
+    # pivoting on short permutations keeps the reduction near-triangular
+    solver = SpanSolver(pivot_key=lambda w: (perm_len(w), w))
+    index = []
+    for lam, s, t, el in murphy_basis(n):
+        vec = {w: _rf(c) for w, c in el.coeffs.items()}
+        status, _ = solver.insert(vec)
+        if status != "new":
+            raise InternalInvariantError("Murphy family is linearly dependent")
+        index.append((lam, s, t))
+    return solver, tuple(index)
 
 
 def murphy_transition_det(n):

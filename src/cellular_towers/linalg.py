@@ -10,18 +10,6 @@ for every "rank certificate" in the package.
 from .errors import InternalInvariantError
 
 
-def vec_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def vec_sub_scaled(a, b, f):
     """a - f*b."""
     out = dict(a)

@@ -94,12 +94,17 @@ def test_verify_failure_exit_1(tmp_path, monkeypatch):
     assert verify_cell_datum(corrupted)["counterexamples"]
 
 
-def test_env_bound_override(tmp_path, monkeypatch):
+def test_env_bound_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CELLULAR_TOWERS_MAX_LEVEL", "2")
     assert run(["gen-basis", "--algebra", "tl", "--n", "3"]) == 2
     monkeypatch.setenv("CELLULAR_TOWERS_MAX_LEVEL", "5")
     out = tmp_path / "b.json"
     assert run(["gen-basis", "--algebra", "tl", "--n", "5", "--out", str(out)]) == 0
+    # a malformed bound is a usage error, not a verification failure
+    monkeypatch.setenv("CELLULAR_TOWERS_MAX_LEVEL", "abc")
+    capsys.readouterr()
+    assert run(["dims", "--algebra", "tl", "--n", "3"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path):
@@ -111,3 +116,26 @@ def test_config_file(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["rows"][-1]["level"] == 4
+
+
+def test_config_sets_subcommand_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=text\n")
+    capsys.readouterr()
+    assert run(["--config", str(cfg), "dims", "--algebra", "tl", "--n", "3"]) == 0
+    assert capsys.readouterr().out.split()[0] == "level"
+    # an explicit flag wins even when it equals the parser default
+    assert run(["--config", str(cfg), "dims", "--algebra", "tl", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["algebra"] == "tl"
+
+
+@pytest.mark.parametrize(
+    "content", [None, "format text\n", "level=abc\n"], ids=["missing", "malformed", "level"]
+)
+def test_bad_config_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    capsys.readouterr()
+    assert run(["--config", str(cfg), "dims", "--algebra", "tl"]) == 2
+    assert "error:" in capsys.readouterr().err
