@@ -2,9 +2,25 @@
 
 Vectors are dicts mapping hashable keys to field elements (anything with
 +, -, *, /, inverse and truthiness, e.g. RationalFunction).  SpanSolver
-tracks a row space incrementally and can express later vectors as
-combinations of the inserted generators -- the single reduction path used
-for every "rank certificate" in the package.
+tracks a row space incrementally -- the single reduction path used for
+every "rank certificate" in the package.
+
+Its stored rows are kept fully reduced, so pivots, ranks and determinants
+come straight from them.  Coordinates over the inserted vectors are not
+tracked row by row; instead each insertion records its elimination
+factors (Golub & Van Loan, Matrix Computations, sec. 3.1), and two methods
+recover coordinates from them:
+
+  express  builds the coordinate table of the stored rows from the factors
+           once (extending it after later insertions), then answers each
+           query by one reduction and one combination of table rows --
+           cheapest for many queries against a small system;
+  solve    substitutes through the factors on every call and never forms
+           the table, whose fill can be many times that of the factors --
+           cheapest for a large system queried a few hundred times.
+
+Both return the same coordinates: they are unique, since only the inserted
+vectors that enlarged the span receive any.
 """
 
 from .errors import InternalInvariantError
@@ -33,23 +49,35 @@ def vec_scale(a, f):
 class SpanSolver:
     """Incremental row space with coordinate recovery.
 
-    insert(vec) returns ("new", pivot_index) when vec enlarges the span or
-    ("dep", coords) when it is a combination of previously *inserted*
-    vectors; express(vec) answers the same question without inserting.
+    insert(vec) returns ("new", index) when vec enlarges the span and
+    ("dep", None) when it is a combination of previously inserted vectors;
+    index counts every insertion, dependent ones included.
+
+    Each stored row has a 1 at its pivot and 0 at every other pivot.  A new
+    row's insertion records, as one step, its lower factor (the multiplier
+    of each stored row subtracted while reducing the vector) and its upper
+    factor (the multiplier with which the new row was subtracted from each
+    older row holding its pivot).  express(vec) and solve(vec) both return
+    the coordinates of vec over the inserted vectors, or None when vec lies
+    outside the span; see the module docstring for when to use which.
     """
 
     def __init__(self, pivot_key=None):
-        self.pivots = []  # (key, reduced row, expression over inserted vectors)
-        self.by_key = {}
+        self.pivots = []  # (key, pivot entry before normalization), one per row
+        self.by_key = {}  # pivot key -> fully reduced row
         self.n_inserted = 0
         self.pivot_key = pivot_key  # optional sort key; low values picked first
+        self._steps = []  # (index, pivot, 1/pivot entry, lower, upper) per row
+        self._table = {}  # pivot key -> coordinates of its row; built by express
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def _reduce(self, vec):
-        combo = {}
+        """The residual of vec against the stored rows and the multiplier of
+        each row subtracted, in the order subtracted."""
+        lower = {}
         vec = dict(vec)
         while vec:
             hit = None
@@ -59,24 +87,17 @@ class SpanSolver:
                     break
             if hit is None:
                 break
-            row, expr = self.by_key[hit]
             f = vec[hit]
-            vec = vec_sub_scaled(vec, row, f)
-            for i, c in expr.items():
-                s = combo.get(i)
-                s = c * f if s is None else s + c * f
-                if s:
-                    combo[i] = s
-                else:
-                    combo.pop(i, None)
-        return vec, combo
+            lower[hit] = f
+            vec = vec_sub_scaled(vec, self.by_key[hit], f)
+        return vec, lower
 
     def insert(self, vec):
-        residual, combo = self._reduce(vec)
+        residual, lower = self._reduce(vec)
         idx = self.n_inserted
         self.n_inserted += 1
         if not residual:
-            return "dep", combo
+            return "dep", None
         if self.pivot_key is not None:
             pivot = min(residual, key=self.pivot_key)
         else:
@@ -84,23 +105,58 @@ class SpanSolver:
         f = residual[pivot]
         inv = f.inverse()
         row = vec_scale(residual, inv)
-        expr = {i: -c * inv for i, c in combo.items()}
-        expr[idx] = inv
         # keep stored rows fully reduced against the new pivot
-        for k, (r, e) in list(self.by_key.items()):
-            if pivot in r:
-                g = r[pivot]
-                self.by_key[k] = (vec_sub_scaled(r, row, g), _expr_sub(e, expr, g))
-        self.by_key[pivot] = (row, expr)
+        upper = {}
+        for k, r in list(self.by_key.items()):
+            g = r.get(pivot)
+            if g is not None:
+                self.by_key[k] = vec_sub_scaled(r, row, g)
+                upper[k] = g
+        self.by_key[pivot] = row
         self.pivots.append((pivot, f))
+        self._steps.append((idx, pivot, inv, lower, upper))
         return "new", idx
 
     def express(self, vec):
-        """Coordinates of vec over the inserted vectors, or None if outside."""
-        residual, combo = self._reduce(vec)
+        """Coordinates of vec over the inserted vectors, or None if outside;
+        read off the coordinate table of the stored rows."""
+        residual, lower = self._reduce(vec)
         if residual:
             return None
-        return combo
+        table = self._table
+        # each step adds one pivot to the table, so its size counts the
+        # steps replayed so far
+        for idx, pivot, inv, low, upper in self._steps[len(table):]:
+            expr = {i: -c * inv for i, c in _combine(table, low).items()}
+            expr[idx] = inv
+            for k, g in upper.items():
+                table[k] = vec_sub_scaled(table[k], expr, g)
+            table[pivot] = expr
+        return _combine(table, lower)
+
+    def solve(self, vec):
+        """Coordinates of vec over the inserted vectors, or None if outside;
+        substituted back through the factors, last step first."""
+        residual, coeffs = self._reduce(vec)
+        if residual:
+            return None
+        # coeffs holds vec's coefficients over the rows as they stand after
+        # the step being undone; undoing it rewrites them over the rows
+        # before it plus the vector that step inserted
+        out = []
+        for idx, pivot, inv, lower, upper in reversed(self._steps):
+            s = coeffs.pop(pivot, None)
+            for k, g in upper.items():
+                c = coeffs.get(k)
+                if c is not None:
+                    t = c * g
+                    s = -t if s is None else s - t
+            if not s:
+                continue
+            x = s * inv
+            out.append((idx, x))
+            coeffs = vec_sub_scaled(coeffs, lower, x)
+        return dict(reversed(out))
 
     def contains(self, vec):
         residual, _ = self._reduce(vec)
@@ -121,17 +177,18 @@ class SpanSolver:
         return det
 
 
-def _expr_sub(e, expr, g):
-    out = dict(e)
-    for i, c in expr.items():
-        s = out.get(i)
-        t = c * g
-        s = -t if s is None else s - t
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
+def _combine(rows, coeffs):
+    """sum of coeffs[k] * rows[k], accumulated in the order of coeffs."""
+    combo = {}
+    for k, f in coeffs.items():
+        for i, c in rows[k].items():
+            s = combo.get(i)
+            s = c * f if s is None else s + c * f
+            if s:
+                combo[i] = s
+            else:
+                combo.pop(i, None)
+    return combo
 
 
 def _perm_sign(perm):
