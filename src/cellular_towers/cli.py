@@ -193,7 +193,8 @@ def cmd_dims(args):
 
 def _load_config(path):
     """Flat KEY=VALUE file of subcommand defaults, keyed by argument dest;
-    flags on the command line override them.  Unknown keys are ignored."""
+    flags on the command line override them.  An unknown key is an error,
+    so a misspelt one cannot silently do nothing."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -202,10 +203,10 @@ def _load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            dest = CONFIG_KEYS.get(k.strip())
-            if dest is not None:
-                out[dest] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {k!r}")
+            out[CONFIG_KEYS[k]] = v
     # argparse converts string defaults with `type` but never checks `choices`
     if out.get("format", "json") not in FORMATS:
         raise ValueError(f"bad config format {out['format']!r}; choose from {FORMATS}")

@@ -130,12 +130,19 @@ def test_config_sets_subcommand_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content", [None, "format text\n", "level=abc\n"], ids=["missing", "malformed", "level"]
+    "content, message",
+    [
+        (None, "error:"),
+        ("format text\n", "error:"),
+        ("level=abc\n", "error:"),
+        ("levle=2\n", "error: unknown config key 'levle'"),
+    ],
+    ids=["missing", "malformed", "level", "unknown"],
 )
-def test_bad_config_exit_2(tmp_path, capsys, content):
+def test_bad_config_exit_2(tmp_path, capsys, content, message):
     cfg = tmp_path / "run.cfg"
     if content is not None:
         cfg.write_text(content)
     capsys.readouterr()
     assert run(["--config", str(cfg), "dims", "--algebra", "tl"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
