@@ -663,6 +663,13 @@ class RationalFunction:
             return NotImplemented
         if not self.num.terms or not o.num.terms:
             return RationalFunction.zero(self.vars)
+        # a factor of +-1 needs no arithmetic (the other is already canonical)
+        u = _unit_sign(o)
+        if u:
+            return self if u > 0 else -self
+        u = _unit_sign(self)
+        if u:
+            return o if u > 0 else -o
         if len(self.den.terms) == 1 and len(o.den.terms) == 1:
             # monomial denominators: no cross-reduction, one canonicalization
             (e1, c1), = self.den.terms.items()
@@ -755,6 +762,15 @@ class RationalFunction:
     @classmethod
     def from_json(cls, data):
         return cls(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]))
+
+
+def _unit_sign(f):
+    """1 or -1 when the fraction f equals +-1, else 0."""
+    if len(f.num.terms) == 1 and len(f.den.terms) == 1:
+        (e, c), = f.num.terms.items()
+        if (c == 1 or c == -1) and not any(e) and f.den.terms.get(e) == 1:
+            return c
+    return 0
 
 
 def _monomial_fraction(vars, terms, exp, c):

@@ -403,9 +403,7 @@ def express_in_murphy(x):
     """Coordinates of x over the Murphy basis of rank x.n (exact, unique)."""
     solver, index = _murphy_solver(x.n)
     vec = {w: _rf(c) for w, c in x.coeffs.items()}
-    # substitution through the factors: the full inverse of the n! x n!
-    # transition matrix (the table express builds) is never formed
-    coords = solver.solve(vec)
+    coords = solver.express(vec)
     if coords is None:
         raise InternalInvariantError("element outside the Murphy span")
     return {index[i]: c for i, c in coords.items()}

@@ -7,21 +7,17 @@ every "rank certificate" in the package.
 
 Its stored rows are kept fully reduced, so pivots, ranks and determinants
 come straight from them.  Coordinates over the inserted vectors are not
-tracked row by row; instead each insertion records its elimination
-factors (Golub & Van Loan, Matrix Computations, sec. 3.1), and two methods
-recover coordinates from them:
-
-  express  builds the coordinate table of the stored rows from the factors
-           once (extending it after later insertions), then answers each
-           query by one reduction and one combination of table rows --
-           cheapest for many queries against a small system;
-  solve    substitutes through the factors on every call and never forms
-           the table, whose fill can be many times that of the factors --
-           cheapest for a large system queried a few hundred times.
-
-Both return the same coordinates: they are unique, since only the inserted
-vectors that enlarged the span receive any.
+tracked row by row: each insertion records its elimination factors
+(Golub & Van Loan, Matrix Computations, sec. 3.1), and express substitutes
+back through them on every call, visiting only the steps that touch the
+coefficients it carries.  The inverse of the transition matrix, whose fill
+can be many times that of the factors, is never formed.  Coordinates are
+unique, since only the inserted vectors that enlarged the span receive
+any.
 """
+
+from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 
 from .errors import InternalInvariantError
 
@@ -57,9 +53,9 @@ class SpanSolver:
     row's insertion records, as one step, its lower factor (the multiplier
     of each stored row subtracted while reducing the vector) and its upper
     factor (the multiplier with which the new row was subtracted from each
-    older row holding its pivot).  express(vec) and solve(vec) both return
-    the coordinates of vec over the inserted vectors, or None when vec lies
-    outside the span; see the module docstring for when to use which.
+    older row holding its pivot).  express(vec) substitutes back through
+    those steps and returns the coordinates of vec over the inserted
+    vectors, or None when vec lies outside the span.
     """
 
     def __init__(self, pivot_key=None):
@@ -67,8 +63,12 @@ class SpanSolver:
         self.by_key = {}  # pivot key -> fully reduced row
         self.n_inserted = 0
         self.pivot_key = pivot_key  # optional sort key; low values picked first
-        self._steps = []  # (index, pivot, 1/pivot entry, lower, upper) per row
-        self._table = {}  # pivot key -> coordinates of its row; built by express
+        # the factors, one step per row, rows named by their position in
+        # pivots: (index, 1/pivot entry, lower, upper) with lower and upper
+        # mapping row positions to multipliers
+        self._steps = []
+        self._pos = {}  # pivot key -> row position
+        self._users = []  # row position -> later steps with it in upper
 
     @property
     def rank(self):
@@ -105,57 +105,75 @@ class SpanSolver:
         f = residual[pivot]
         inv = f.inverse()
         row = vec_scale(residual, inv)
+        pos, users = self._pos, self._users
+        here = len(self.pivots)
         # keep stored rows fully reduced against the new pivot
         upper = {}
         for k, r in list(self.by_key.items()):
             g = r.get(pivot)
             if g is not None:
                 self.by_key[k] = vec_sub_scaled(r, row, g)
-                upper[k] = g
+                upper[pos[k]] = g
+                users[pos[k]].append(here)
         self.by_key[pivot] = row
         self.pivots.append((pivot, f))
-        self._steps.append((idx, pivot, inv, lower, upper))
+        self._steps.append((idx, inv, {pos[k]: c for k, c in lower.items()}, upper))
+        pos[pivot] = here
+        users.append([])
         return "new", idx
 
     def express(self, vec):
         """Coordinates of vec over the inserted vectors, or None if outside;
-        read off the coordinate table of the stored rows."""
+        substituted back through the factors, last step first."""
         residual, lower = self._reduce(vec)
         if residual:
             return None
-        table = self._table
-        # each step adds one pivot to the table, so its size counts the
-        # steps replayed so far
-        for idx, pivot, inv, low, upper in self._steps[len(table):]:
-            expr = {i: -c * inv for i, c in _combine(table, low).items()}
-            expr[idx] = inv
-            for k, g in upper.items():
-                table[k] = vec_sub_scaled(table[k], expr, g)
-            table[pivot] = expr
-        return _combine(table, lower)
-
-    def solve(self, vec):
-        """Coordinates of vec over the inserted vectors, or None if outside;
-        substituted back through the factors, last step first."""
-        residual, coeffs = self._reduce(vec)
-        if residual:
-            return None
+        steps, users = self._steps, self._users
         # coeffs holds vec's coefficients over the rows as they stand after
         # the step being undone; undoing it rewrites them over the rows
-        # before it plus the vector that step inserted
+        # before it plus the vector that step inserted, and changes them
+        # only if they include its row or a row of its upper factor
+        coeffs = {self._pos[k]: c for k, c in lower.items()}
+        due = set(coeffs)
+        for p in coeffs:
+            due.update(users[p])
+        heap = [-p for p in due]
+        heapify(heap)
         out = []
-        for idx, pivot, inv, lower, upper in reversed(self._steps):
-            s = coeffs.pop(pivot, None)
-            for k, g in upper.items():
-                c = coeffs.get(k)
-                if c is not None:
+        while heap:
+            here = -heappop(heap)
+            idx, inv, low, upper = steps[here]
+            s = coeffs.pop(here, None)
+            # the rows both in upper and in coeffs, found from the smaller
+            if len(upper) <= len(coeffs):
+                terms = ((coeffs.get(p), g) for p, g in upper.items())
+            else:
+                terms = ((c, upper.get(p)) for p, c in coeffs.items())
+            for c, g in terms:
+                if c is not None and g is not None:
                     t = c * g
                     s = -t if s is None else s - t
             if not s:
                 continue
             x = s * inv
             out.append((idx, x))
-            coeffs = vec_sub_scaled(coeffs, lower, x)
+            for p, c in low.items():
+                t = c * x
+                r = coeffs.get(p)
+                if r is None:
+                    # a row new to coeffs makes its own and earlier steps due
+                    coeffs[p] = -t
+                    later = users[p]
+                    for q in (p, *later[: bisect_left(later, here)]):
+                        if q not in due:
+                            due.add(q)
+                            heappush(heap, -q)
+                    continue
+                r = r - t
+                if r:
+                    coeffs[p] = r
+                else:
+                    del coeffs[p]
         return dict(reversed(out))
 
     def contains(self, vec):
@@ -175,20 +193,6 @@ class SpanSolver:
         if _perm_sign(perm) < 0:
             det = -det
         return det
-
-
-def _combine(rows, coeffs):
-    """sum of coeffs[k] * rows[k], accumulated in the order of coeffs."""
-    combo = {}
-    for k, f in coeffs.items():
-        for i, c in rows[k].items():
-            s = combo.get(i)
-            s = c * f if s is None else s + c * f
-            if s:
-                combo[i] = s
-            else:
-                combo.pop(i, None)
-    return combo
 
 
 def _perm_sign(perm):

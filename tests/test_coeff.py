@@ -275,6 +275,22 @@ def test_monomial_denominators_match_gcd_path(data):
     assert a.den.lead_coeff() > 0 and a.num.is_ordinary() and a.den.is_ordinary()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unit_factor_matches_full_product(data):
+    """x * (+-1) on either side, the factor given as an int or a fraction,
+    is the canonical fraction that the product without the shortcut gives."""
+    vars = data.draw(st.sampled_from([QV, QZV, DV]))
+    n, d = data.draw(monomial_fractions(vars))
+    cof = COFACTORS[vars]
+    x = RationalFunction(n, d * data.draw(st.sampled_from([LaurentPoly.one(vars), cof])))
+    sign = data.draw(st.sampled_from([1, -1]))
+    ref = RationalFunction(x.num * cof * LaurentPoly.const(vars, sign), x.den * cof)
+    for u in (sign, RationalFunction.const(vars, sign)):
+        _same(x * u, ref)
+        _same(u * x, ref)
+
+
 def _gcd_by_prs(a, b):
     """The reference: content split, primitive PRS, sign normalization."""
     ca, cb = a.int_content(), b.int_content()
