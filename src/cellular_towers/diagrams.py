@@ -3,12 +3,33 @@
 Vertices of an n-strand diagram are the ints 1..n (top row) and -1..-n
 (bottom row).  A Brauer diagram is a perfect matching stored as a sorted
 tuple of sorted pairs; a partition diagram is a set partition stored as a
-sorted tuple of sorted blocks.  Elements are finitely supported coefficient
-maps over Z[delta].
+sorted tuple of sorted blocks.  The order is `_vkey`'s: tops 1..n, then
+bottoms -1..-n.  Elements are finitely supported coefficient maps over
+Z[delta].
 
 Composition stacks d1 over d2 (top of the product = top of d1), removing
 closed middle components; each removed component contributes a factor
-delta (Brauer) or one factor per removed block (partition).
+delta (Brauer) or one factor per removed block (partition).  The bottom
+row of d1 and the top row of d2 are glued into a middle row 1..n.
+
+Brauer composition walks strands.  Each diagram gets a mate table, and
+every strand of the product is traced from its first endpoint in `_vkey`
+order: from a top of d1, or, once the tops are done, from a bottom of d2
+(a strand that reaches a top was traced already).  At each middle vertex
+the walk crosses into the other diagram, until it leaves through a top of
+d1 or a bottom of d2.  A strand's far endpoint comes later in `_vkey`
+order than its start, and starts are taken in that order, so the pairs
+come out canonical and need no sort.  Middle vertices that no strand
+visits lie on closed loops, which are counted by walking them too.
+
+Partition composition runs a union-find on the integers 0..3n-1 (tops of
+d1, middle row, bottoms of d2).  Tops and then bottoms are grouped by
+root in `_vkey` order, so each block is sorted and the blocks are ordered
+by their first member: canonical again.  Middle roots that reach no outer
+vertex are the removed blocks.
+
+Composition builds its result through the trusted `_raw` constructors;
+the public constructors validate and canonicalize input from outside.
 """
 
 from __future__ import annotations
@@ -39,23 +60,6 @@ def _canon_blocks(blocks):
     )
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 class BrauerDiagram:
     """A perfect matching on {1..n, -1..-n}; canonical pair order."""
 
@@ -69,6 +73,15 @@ class BrauerDiagram:
         self.n = n
         self.pairs = pairs
         self._hash = None
+
+    @classmethod
+    def _raw(cls, n, pairs):
+        """Trusted constructor: `pairs` is already a canonical matching."""
+        self = object.__new__(cls)
+        self.n = n
+        self.pairs = pairs
+        self._hash = None
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -96,28 +109,50 @@ class BrauerDiagram:
         if self.n != other.n:
             raise DomainError("size mismatch")
         n = self.n
-        # vertices: ('t', i) tops, ('m', i) middles, ('b', i) bottoms
-        uf = _UnionFind(
-            [("t", i) for i in range(1, n + 1)]
-            + [("m", i) for i in range(1, n + 1)]
-            + [("b", i) for i in range(1, n + 1)]
-        )
-        for a, b in self.pairs:
-            uf.union(_up(a), _up(b))
-        for a, b in other.pairs:
-            uf.union(_down(a), _down(b))
-        comp = {}
-        for i in range(1, n + 1):
-            for v in (("t", i), ("b", i)):
-                comp.setdefault(uf.find(v), []).append(v)
+        up, down = _mates(self.pairs, n), _mates(other.pairs, n)
+        mid = [False] * (n + 1)  # middle vertices some walk passed through
+        done = [False] * (2 * n + 1)  # far endpoints already paired
         pairs = []
-        for members in comp.values():
-            if len(members) != 2:
-                raise DomainError("composition did not produce a matching")
-            pairs.append(tuple(_flat(v) for v in members))
-        middles = {uf.find(("m", i)) for i in range(1, n + 1)}
-        loops = len(middles - set(comp))
-        return BrauerDiagram(n, pairs), loops
+        for i in range(1, n + 1):
+            if done[i]:
+                continue
+            v = up[i]
+            while v < 0:  # at middle vertex -v, coming down out of self
+                mid[-v] = True
+                v = down[-v]
+                if v < 0:  # a bottom of other
+                    done[n - v] = True
+                    break
+                mid[v] = True
+                v = up[n + v]
+            else:  # a top of self
+                done[v] = True
+            pairs.append((i, v))
+        for i in range(1, n + 1):
+            if done[n + i]:
+                continue
+            # this strand reaches no top, so every walk up into self turns
+            # back down at another middle vertex
+            v = down[n + i]
+            while v > 0:
+                mid[v] = True
+                v = -up[n + v]
+                mid[v] = True
+                v = down[v]
+            done[n - v] = True
+            pairs.append((-i, v))
+        loops = 0
+        for j in range(1, n + 1):
+            if mid[j]:
+                continue
+            loops += 1
+            v = j
+            while not mid[v]:  # around the loop: down into other, up into self
+                mid[v] = True
+                v = down[v]
+                mid[v] = True
+                v = -up[n + v]
+        return BrauerDiagram._raw(n, tuple(pairs)), loops
 
     def star(self):
         return BrauerDiagram(self.n, [(-a, -b) for a, b in self.pairs])
@@ -176,17 +211,13 @@ class BrauerDiagram:
         return {"n": self.n, "pairs": [[_pname(a), _pname(b)] for a, b in self.pairs]}
 
 
-def _up(v):
-    return ("t", v) if v > 0 else ("m", -v)
-
-
-def _down(v):
-    return ("m", v) if v > 0 else ("b", -v)
-
-
-def _flat(v):
-    kind, i = v
-    return i if kind == "t" else -i
+def _mates(pairs, n):
+    """Mate table of a matching: vertex i at index i, vertex -i at n + i."""
+    mate = [0] * (2 * n + 1)
+    for a, b in pairs:
+        mate[a if a > 0 else n - a] = b
+        mate[b if b > 0 else n - b] = a
+    return mate
 
 
 def _pname(v):
@@ -215,8 +246,28 @@ def brauer_basis(n):
 
 @cache
 def tl_basis(n):
-    """Crossingless Brauer diagrams; cardinality Catalan(n)."""
-    return tuple(d for d in brauer_basis(n) if d.is_planar())
+    """Crossingless Brauer diagrams; cardinality Catalan(n).
+
+    Enumerates the non-crossing matchings of the boundary
+    1 < ... < n < -n < ... < -1 directly: the first vertex pairs with one
+    that leaves an even number of vertices on each side, and each side is
+    matched on its own.  Sorted like `brauer_basis`, whose planar members
+    these are.
+    """
+    boundary = list(range(1, n + 1)) + list(range(-n, 0))
+
+    def matchings(lo, hi):
+        if lo == hi:
+            yield []
+            return
+        for k in range(lo + 1, hi, 2):
+            pair = (boundary[lo], boundary[k])
+            for inner in matchings(lo + 1, k):
+                for outer in matchings(k + 1, hi):
+                    yield [pair, *inner, *outer]
+
+    out = [BrauerDiagram(n, pairs) for pairs in matchings(0, 2 * n)]
+    return tuple(sorted(out, key=lambda d: d.pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +288,15 @@ class SetPartitionDiagram:
         self.n = n
         self.blocks = blocks
         self._hash = None
+
+    @classmethod
+    def _raw(cls, n, blocks):
+        """Trusted constructor: `blocks` is already a canonical partition."""
+        self = object.__new__(cls)
+        self.n = n
+        self.blocks = blocks
+        self._hash = None
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -272,25 +332,33 @@ class SetPartitionDiagram:
         if self.n != other.n:
             raise DomainError("size mismatch")
         n = self.n
-        uf = _UnionFind(
-            [("t", i) for i in range(1, n + 1)]
-            + [("m", i) for i in range(1, n + 1)]
-            + [("b", i) for i in range(1, n + 1)]
-        )
-        for b in self.blocks:
-            for v in b[1:]:
-                uf.union(_up(b[0]), _up(v))
-        for b in other.blocks:
-            for v in b[1:]:
-                uf.union(_down(b[0]), _down(v))
-        comp = {}
+        # tops of self at 0..n-1, middle vertices at n..2n-1, bottoms of
+        # other at 2n..3n-1
+        parent = list(range(3 * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for blocks, shift in ((self.blocks, 0), (other.blocks, n)):
+            for b in blocks:
+                root = None
+                for v in b:
+                    r = find(shift + v - 1 if v > 0 else shift + n - v - 1)
+                    if root is None:
+                        root = r
+                    elif r != root:
+                        parent[r] = root
+        groups = {}
         for i in range(1, n + 1):
-            for v in (("t", i), ("b", i)):
-                comp.setdefault(uf.find(v), []).append(v)
-        blocks = [tuple(_flat(v) for v in members) for members in comp.values()]
-        middles = {uf.find(("m", i)) for i in range(1, n + 1)}
-        removed = len(middles - set(comp))
-        return SetPartitionDiagram(n, blocks), removed
+            groups.setdefault(find(i - 1), []).append(i)
+        for i in range(1, n + 1):
+            groups.setdefault(find(2 * n + i - 1), []).append(-i)
+        removed = len({find(j) for j in range(n, 2 * n)} - groups.keys())
+        blocks = tuple(tuple(members) for members in groups.values())
+        return SetPartitionDiagram._raw(n, blocks), removed
 
     def star(self):
         return SetPartitionDiagram(self.n, [tuple(-v for v in b) for b in self.blocks])

@@ -1,7 +1,14 @@
+"""Diagram bases and composition.
+
+Composition is checked against a reference written here: a union-find over
+tagged vertices, whose result goes through the validating constructors.
+"""
+
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellular_towers.coeff import DV, DELTA, LaurentPoly, RationalFunction
 from cellular_towers.diagrams import (
@@ -24,6 +31,78 @@ from cellular_towers.linalg import SpanSolver
 D = LaurentPoly.gen(DV, DELTA)
 
 
+# ---------------------------------------------------------------------------
+# reference composition
+# ---------------------------------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
+def _up(v):
+    return ("t", v) if v > 0 else ("m", -v)
+
+
+def _down(v):
+    return ("m", v) if v > 0 else ("b", -v)
+
+
+def _flat(v):
+    kind, i = v
+    return i if kind == "t" else -i
+
+
+def reference_compose(d1, d2):
+    """Stack d1 over d2: (product, closed middle components), the product
+    built by the validating constructor of d1's kind."""
+    n = d1.n
+    parts = (lambda d: d.pairs) if isinstance(d1, BrauerDiagram) else (lambda d: d.blocks)
+    uf = _UnionFind(
+        [("t", i) for i in range(1, n + 1)]
+        + [("m", i) for i in range(1, n + 1)]
+        + [("b", i) for i in range(1, n + 1)]
+    )
+    for b in parts(d1):
+        for v in b[1:]:
+            uf.union(_up(b[0]), _up(v))
+    for b in parts(d2):
+        for v in b[1:]:
+            uf.union(_down(b[0]), _down(v))
+    comp = {}
+    for i in range(1, n + 1):
+        for v in (("t", i), ("b", i)):
+            comp.setdefault(uf.find(v), []).append(v)
+    members = [tuple(_flat(v) for v in vs) for vs in comp.values()]
+    if isinstance(d1, BrauerDiagram):
+        assert all(len(p) == 2 for p in members)
+    middles = {uf.find(("m", i)) for i in range(1, n + 1)}
+    return type(d1)(n, members), len(middles - set(comp))
+
+
+def assert_composes_like_reference(d1, d2):
+    d, count = d1.compose(d2)
+    assert (d, count) == reference_compose(d1, d2)
+    # canonical as built: the validating constructor leaves it unchanged
+    if isinstance(d, BrauerDiagram):
+        assert BrauerDiagram(d.n, d.pairs).pairs == d.pairs
+    else:
+        assert SetPartitionDiagram(d.n, d.blocks).blocks == d.blocks
+
+
 def s_el(i, n):
     return DiagramElement.from_diagram(BrauerDiagram.s(i, n))
 
@@ -34,11 +113,67 @@ def e_el(i, n):
 
 def test_basis_cardinalities():
     assert [len(brauer_basis(n)) for n in range(5)] == [1, 1, 3, 15, 105]
-    assert [len(tl_basis(n)) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    assert [len(tl_basis(n)) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
     assert [len(partition_basis(n)) for n in range(4)] == [1, 2, 15, 203]
     assert [len(half_level_basis(n)) for n in range(1, 4)] == [1, 5, 52]
     assert double_factorial_odd(4) == 105 and catalan_number(5) == 42
     assert [bell_number(k) for k in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tl_basis_is_the_planar_part_of_the_brauer_basis(n):
+    assert tl_basis(n) == tuple(d for d in brauer_basis(n) if d.is_planar())
+    assert [d.pairs for d in tl_basis(n)] == [
+        d.pairs for d in brauer_basis(n) if d.is_planar()
+    ]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_brauer_compose_matches_reference_on_every_pair(n):
+    for d1 in brauer_basis(n):
+        for d2 in brauer_basis(n):
+            assert_composes_like_reference(d1, d2)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_partition_compose_matches_reference_on_every_pair(n):
+    for d1 in partition_basis(n):
+        for d2 in partition_basis(n):
+            assert_composes_like_reference(d1, d2)
+
+
+@st.composite
+def brauer_diagrams(draw, n):
+    """A perfect matching: a shuffle of the vertices, paired off in turn."""
+    verts = draw(st.permutations(list(range(1, n + 1)) + list(range(-n, 0))))
+    return BrauerDiagram(n, list(zip(verts[::2], verts[1::2])))
+
+
+@st.composite
+def partition_diagrams(draw, n):
+    """A set partition: each vertex gets one of 2n block labels."""
+    verts = list(range(1, n + 1)) + list(range(-n, 0))
+    labels = draw(st.lists(st.integers(0, 2 * n - 1), min_size=2 * n, max_size=2 * n))
+    blocks = {}
+    for v, label in zip(verts, labels):
+        blocks.setdefault(label, []).append(v)
+    return SetPartitionDiagram(n, list(blocks.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brauer_compose_matches_reference_on_drawn_pairs(data):
+    n = data.draw(st.integers(5, 7))
+    assert_composes_like_reference(data.draw(brauer_diagrams(n)), data.draw(brauer_diagrams(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_compose_matches_reference_on_drawn_pairs(data):
+    n = data.draw(st.integers(4, 5))
+    assert_composes_like_reference(
+        data.draw(partition_diagrams(n)), data.draw(partition_diagrams(n))
+    )
 
 
 def test_tl_planarity_against_crossing_oracle():
