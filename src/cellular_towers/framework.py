@@ -216,11 +216,11 @@ class CellDatum:
         self._certify()
 
     def _certify(self):
-        """Insert the elements into a fresh solver in `index` order; set
-        `free` (no element depends on earlier ones) and, when they span
-        A_n, the transition determinant `det`."""
+        """Insert the elements into a fresh solver in `index` order, pivoting
+        in the tower's order; set `free` (no element depends on earlier
+        ones) and, when they span A_n, the transition determinant `det`."""
         t = self.t
-        self.solver = SpanSolver()
+        self.solver = SpanSolver(pivot_key=t.pivot_key(self.n))
         self.free = True
         for key in self.index:
             status, _ = self.solver.insert(t.vector(self.elements[key]))

@@ -373,9 +373,11 @@ def murphy_basis_json(n):
 
 @cache
 def _murphy_solver(n):
-    # built once per rank and then shared read-only
-    # pivoting on short permutations keeps the reduction near-triangular
-    solver = SpanSolver(pivot_key=lambda w: (perm_len(w), w))
+    # built once per rank and then shared read-only, pivoting in the
+    # tower's order
+    from .towers import tower
+
+    solver = SpanSolver(pivot_key=tower("hecke").pivot_key(n))
     index = []
     for lam, s, t, el in murphy_basis(n):
         vec = {w: _rf(c) for w, c in el.coeffs.items()}

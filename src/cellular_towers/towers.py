@@ -39,6 +39,7 @@ from .hecke import (
     added_node,
     d_branching,
     m_lambda,
+    perm_len,
     u_branching,
     young_subgroup,
 )
@@ -85,6 +86,11 @@ class _DiagramTowerBase:
 
     def strands(self, n):
         return n
+
+    def pivot_key(self, n):
+        """Sort key for the basis solver's pivots; None takes the first
+        residual key (no other order has been measured to help here)."""
+        return None
 
     def vector(self, x):
         return {d: _rf(c, DV) for d, c in x.coeffs.items()}
@@ -317,6 +323,11 @@ class BMWTower:
     def strands(self, n):
         return n
 
+    def pivot_key(self, n):
+        """Sort key for the basis solver's pivots; None takes the first
+        residual key (no other order has been measured to help here)."""
+        return None
+
     def basis_keys(self, n):
         return tuple(d for d, _ in _bmw.bmw_normal_forms(n))
 
@@ -368,7 +379,7 @@ class BMWTower:
         return young_lattice(depth)
 
     def c_lift(self, lam, n):
-        from .hecke import perm_len, reduced_word
+        from .hecke import reduced_word
 
         out = _bmw.BMWElement(n)
         for v in young_subgroup(lam, n):
@@ -406,6 +417,11 @@ class HeckeTower:
 
     def strands(self, n):
         return n
+
+    def pivot_key(self, n):
+        # short permutations first keeps the Murphy reduction near-triangular
+        # and its pivots monomial, so no fraction needs a gcd
+        return lambda w: (perm_len(w), w)
 
     def basis_keys(self, n):
         import itertools

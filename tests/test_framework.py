@@ -22,6 +22,7 @@ from cellular_towers.framework import (
     vertex_str,
 )
 from cellular_towers.hecke import murphy_element
+from cellular_towers.linalg import SpanSolver
 from cellular_towers.towers import tower
 
 D = LaurentPoly.gen(DV, DELTA)
@@ -214,3 +215,22 @@ def test_cell_datum_json_is_stable():
     payload = d.to_json()
     assert payload["dimension"] == 5
     assert set(payload["paths"]) == {vertex_str(v) for v in d.vertices}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tower_pivot_order_keeps_coordinates_and_det(n):
+    # coordinates over a free basis are unique, so the tower's pivot order
+    # (shortest permutations first at hecke) changes no answer
+    t = tower("hecke")
+    datum = cellular_basis("hecke", n)
+    assert datum.solver.pivot_key is not None
+    plain = SpanSolver()
+    for key in datum.index:
+        assert plain.insert(t.vector(datum.elements[key]))[0] == "new"
+    keys = t.basis_keys(n)
+    queries = [t.element_of_key(w, n) for w in keys]
+    queries += [t.mul(queries[i], queries[-1 - i]) for i in range(0, len(keys), 5)]
+    for x in queries:
+        coords = plain.express(t.vector(x))
+        assert datum.express(x) == {datum.index[i]: c for i, c in coords.items()}
+    assert datum.det == plain.det_unit(sorted(keys, key=t.key_str))
