@@ -9,7 +9,16 @@ fields); every structural claim is verified by rank certificates.
 """
 
 from ._kernel import KERNEL
-from .coeff import DELTA, LaurentPoly, Q, RationalFunction, Z, delta_eliminate, specialize
+from .coeff import (
+    DELTA,
+    LaurentFraction,
+    LaurentPoly,
+    Q,
+    RationalFunction,
+    Z,
+    delta_eliminate,
+    specialize,
+)
 from .framework import (
     a_hat,
     branching_closed_form,
@@ -31,6 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KERNEL",
     "LaurentPoly",
+    "LaurentFraction",
     "RationalFunction",
     "specialize",
     "delta_eliminate",

@@ -1,12 +1,19 @@
 """Exact coefficient arithmetic.
 
-Two rings cover every algebra in the package:
+Three types cover every algebra in the package:
 
 * :class:`LaurentPoly` -- multivariate Laurent polynomials with arbitrary
   precision integer coefficients, in canonical form (no zero terms, fixed
   indeterminate order).
+* :class:`LaurentFraction` -- L / c for a Laurent polynomial L and a
+  positive integer c.  The Hecke and diagram towers live over Z[q, q⁻¹]
+  and Z[δ], so nearly every value their solvers meet has this form; the
+  type keeps it without a second polynomial and falls back to
+  RationalFunction only when it inverts a non-monomial L.
 * :class:`RationalFunction` -- reduced fractions of Laurent polynomials,
-  normalized so equal values compare structurally equal.
+  normalized so equal values compare structurally equal.  It covers
+  Q(q, z), where the BMW tower lives, and every value LaurentFraction
+  cannot hold.
 
 The indeterminates used in practice are q, z and δ, always in this order
 when they appear together.  `delta_eliminate` is the quotient map onto
@@ -551,15 +558,9 @@ class RationalFunction:
     Canonical form: numerator and denominator are ordinary polynomials with
     no common (polynomial or monomial) factor, integer contents coprime, and
     the denominator's lex-leading coefficient positive.  Equal values are
-    structurally equal.
-
-    When the value is L / c for a Laurent polynomial L and an integer c --
-    the common case, since the bases live over Z[δ] and Q(q) -- the
-    denominator is the monomial c·x^s with c > 0 and coprime to the content
-    of L, and s minimal, i.e. s_i = max(0, -min_i L); the numerator is the
-    ordinary polynomial L·x^s.  `_monomial_fraction` produces this form in
-    one pass, and products and sums of two such fractions use it directly
-    instead of the gcd path.
+    structurally equal.  A monomial denominator (see `_monomial_fraction`)
+    skips the gcd path; LaurentFraction values convert to this form when
+    they meet a RationalFunction operand.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -619,6 +620,12 @@ class RationalFunction:
                     f"mismatched indeterminates {self.vars} vs {other.vars}"
                 )
             return other
+        if isinstance(other, LaurentFraction):
+            if other.vars != self.vars:
+                raise CoefficientRingError(
+                    f"mismatched indeterminates {self.vars} vs {other.vars}"
+                )
+            return RationalFunction(*other._num_den(), _reduced=True)
         if isinstance(other, LaurentPoly):
             return RationalFunction.from_poly(other.extend_vars(self.vars)
                                               if other.vars != self.vars else other)
@@ -745,19 +752,17 @@ class RationalFunction:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = _fraction_hash(self.num, self.den)
         return self._hash
 
     def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        return _fraction_str(self.num, self.den)
 
     def __repr__(self):
         return f"RationalFunction({self})"
 
     def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        return _fraction_json(self.num, self.den)
 
     @classmethod
     def from_json(cls, data):
@@ -773,10 +778,31 @@ def _unit_sign(f):
     return 0
 
 
-def _monomial_fraction(vars, terms, exp, c):
-    """Canonical (num, den) of terms / (c·x^exp); see RationalFunction.
+def _fraction_hash(num, den):
+    """The hash of a canonical fraction; an integer's own hash when it is one,
+    since fractions compare equal to ints."""
+    if den.is_one() and not any(e for t in num.terms for e in t):
+        return hash(num.terms.get((0,) * len(num.vars), 0))
+    return hash((num, den))
 
-    One pass finds the numerator's minimum exponents, an integer gcd is taken
+
+def _fraction_str(num, den):
+    if den.is_one():
+        return str(num)
+    return f"({num})/({den})"
+
+
+def _fraction_json(num, den):
+    return {"num": num.to_json(), "den": den.to_json()}
+
+
+def _monomial_fraction(vars, terms, exp, c):
+    """Canonical (num, den) of terms / (c·x^exp).
+
+    For a value L / c with L a Laurent polynomial and c a positive integer,
+    the denominator is the monomial c·x^s with c coprime to the content of
+    L and s minimal, i.e. s_i = max(0, -min_i L); the numerator is the
+    ordinary polynomial L·x^s.  One pass finds the numerator's minimum exponents, an integer gcd is taken
     only when |c| > 1, and one new term map applies the exponent shift and
     the content division together.
     """
@@ -846,6 +872,239 @@ def _reduce_fraction(num, den):
 
 
 # ---------------------------------------------------------------------------
+# Laurent polynomials over an integer
+# ---------------------------------------------------------------------------
+
+
+class LaurentFraction:
+    """L / c: a Laurent polynomial L over a positive integer c.
+
+    The Murphy-type bases live over Z[q, q⁻¹] and Z[δ] (Murphy 1995), and
+    with the towers' pivot orders nearly every value their solvers touch
+    has this form.  `terms` is L's term map, shared and never mutated; `c`
+    is an int with c ≥ 1 and gcd(content(L), c) = 1, and zero is
+    ({}, 1), so equal values are structurally equal.  Arithmetic calls the
+    term-map kernel directly: an integer gcd is taken only when c > 1, no
+    exponent shift is made, and a factor of ±1 costs no kernel call.
+
+    Inverting ±k·x^e stays in the type; inverting any other L gives the
+    RationalFunction c / L.  An operation with a RationalFunction operand
+    returns NotImplemented, so RationalFunction computes it.  `num`, `den`,
+    `str` and `to_json` are those of the equal RationalFunction, which also
+    compares and hashes equal.
+    """
+
+    __slots__ = ("vars", "terms", "c")
+
+    def __init__(self, poly, c=1):
+        if not c:
+            raise ZeroDivisionError("Laurent fraction with zero denominator")
+        terms = poly.terms
+        if c < 0:
+            terms, c = terms_neg(terms), -c
+        x = _lf(poly.vars, terms, c)
+        self.vars, self.terms, self.c = x.vars, x.terms, x.c
+
+    @classmethod
+    def of(cls, x, vars):
+        """A tower coefficient as a field element over `vars`: a LaurentPoly
+        (widened to `vars`) or an int becomes L / 1; a LaurentFraction or a
+        RationalFunction is returned as it is."""
+        if isinstance(x, LaurentPoly):
+            if x.vars != vars:
+                x = x.extend_vars(vars)
+            return _lf_raw(vars, x.terms, 1)
+        if isinstance(x, int):
+            return _lf_raw(vars, {(0,) * len(vars): x} if x else {}, 1)
+        return x
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, LaurentFraction):
+            if other.vars != self.vars:
+                raise CoefficientRingError(
+                    f"mismatched indeterminates {self.vars} vs {other.vars}"
+                )
+            return other
+        if isinstance(other, (LaurentPoly, int)):
+            return LaurentFraction.of(other, self.vars)
+        return None
+
+    def __add__(self, other):
+        o = other if other.__class__ is LaurentFraction else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _lf_sum(self, o, terms_add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = other if other.__class__ is LaurentFraction else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _lf_sum(self, o, terms_sub)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _lf_sum(o, self, terms_sub)
+
+    def __neg__(self):
+        return _lf_raw(self.vars, terms_neg(self.terms), self.c)
+
+    def __mul__(self, other):
+        o = other if other.__class__ is LaurentFraction else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.vars != self.vars:
+            raise CoefficientRingError(f"mismatched indeterminates {self.vars} vs {o.vars}")
+        if not self.terms or not o.terms:
+            return _lf_raw(self.vars, {}, 1)
+        # a factor of +-1 needs no arithmetic (the other is already canonical)
+        u = _lf_sign(o)
+        if u:
+            return self if u > 0 else -self
+        u = _lf_sign(self)
+        if u:
+            return o if u > 0 else -o
+        return _lf(self.vars, terms_mul(self.terms, o.terms), self.c * o.c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def inverse(self):
+        terms = self.terms
+        if len(terms) == 1:
+            # c / (k x^e) = (±c x^-e) / |k|, already coprime
+            (e, k), = terms.items()
+            e = tuple(-x for x in e)
+            return _lf_raw(self.vars, {e: self.c if k > 0 else -self.c}, abs(k))
+        if not terms:
+            raise ZeroDivisionError("inverse of zero")
+        return RationalFunction(
+            LaurentPoly.const(self.vars, self.c), LaurentPoly._raw(self.vars, terms)
+        )
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_one(self):
+        return _lf_sign(self) == 1
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # -- comparisons, hashing, display ----------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is LaurentFraction:
+            return (
+                self.c == other.c and self.terms == other.terms and self.vars == other.vars
+            )
+        if isinstance(other, RationalFunction):
+            return other == self
+        try:
+            o = self._coerce(other)
+        except CoefficientRingError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self == o
+
+    def __hash__(self):
+        return _fraction_hash(*self._num_den())
+
+    def _num_den(self):
+        """The canonical (num, den) of the equal RationalFunction."""
+        return _monomial_fraction(self.vars, self.terms, (0,) * len(self.vars), self.c)
+
+    @property
+    def num(self):
+        return self._num_den()[0]
+
+    @property
+    def den(self):
+        return self._num_den()[1]
+
+    def __str__(self):
+        return _fraction_str(*self._num_den())
+
+    def __repr__(self):
+        return f"LaurentFraction({self})"
+
+    def to_json(self):
+        return _fraction_json(*self._num_den())
+
+
+_new = object.__new__
+
+
+def _lf_raw(vars, terms, c):
+    """A LaurentFraction from parts already in canonical form."""
+    x = _new(LaurentFraction)
+    x.vars = vars
+    x.terms = terms
+    x.c = c
+    return x
+
+
+def _lf(vars, terms, c):
+    """terms / c for c ≥ 1, content and denominator made coprime."""
+    if c > 1:
+        if not terms:
+            c = 1
+        else:
+            g = int_gcd(c, *terms.values())
+            if g > 1:
+                c //= g
+                terms = {e: k // g for e, k in terms.items()}
+    return _lf_raw(vars, terms, c)
+
+
+def _lf_sign(x):
+    """1 or -1 when the LaurentFraction x equals +-1, else 0."""
+    if x.c == 1 and len(x.terms) == 1:
+        (e, k), = x.terms.items()
+        if (k == 1 or k == -1) and not any(e):
+            return k
+    return 0
+
+
+def _lf_sum(a, b, combine):
+    """a ± b over the least common denominator; `combine` is `terms_add` or
+    `terms_sub`."""
+    if a.vars != b.vars:
+        raise CoefficientRingError(f"mismatched indeterminates {a.vars} vs {b.vars}")
+    ta, tb = a.terms, b.terms
+    if not tb:
+        return a
+    if not ta:
+        return b if combine is terms_add else -b
+    ca, cb = a.c, b.c
+    c = ca
+    if ca != cb:
+        c = ca // int_gcd(ca, cb) * cb
+        if ca != c:
+            ta = terms_scale(ta, c // ca)
+        if cb != c:
+            tb = terms_scale(tb, c // cb)
+    return _lf(a.vars, combine(ta, tb), c)
+
+
+# ---------------------------------------------------------------------------
 # specialization
 # ---------------------------------------------------------------------------
 
@@ -858,6 +1117,8 @@ def specialize(p, assignment, target_vars=None):
     retained and must appear among the target variables.  Substitution is a
     ring homomorphism; a zero denominator raises SpecializationError.
     """
+    if isinstance(p, LaurentFraction):
+        p = RationalFunction(*p._num_den(), _reduced=True)
     if isinstance(p, RationalFunction):
         den = specialize(p.den, assignment, target_vars)
         if den.is_zero():

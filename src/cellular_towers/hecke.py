@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .coeff import Q, QV, LaurentPoly, RationalFunction, specialize
+from .coeff import Q, QV, LaurentFraction, LaurentPoly, RationalFunction, specialize
 from .combinatorics import (
     addable_nodes,
     dominance_geq,
@@ -348,10 +348,10 @@ def murphy_basis(n):
     return tuple(out)
 
 
-def _rf(c):
-    if isinstance(c, RationalFunction):
-        return c
-    return RationalFunction.from_poly(c)
+def _vector(x):
+    """The T-basis coefficients of x as field elements, for the solvers."""
+    of = LaurentFraction.of
+    return {w: of(c, QV) for w, c in x.coeffs.items()}
 
 
 def murphy_basis_json(n):
@@ -380,8 +380,7 @@ def _murphy_solver(n):
     solver = SpanSolver(pivot_key=tower("hecke").pivot_key(n))
     index = []
     for lam, s, t, el in murphy_basis(n):
-        vec = {w: _rf(c) for w, c in el.coeffs.items()}
-        status, _ = solver.insert(vec)
+        status, _ = solver.insert(_vector(el))
         if status != "new":
             raise InternalInvariantError("Murphy family is linearly dependent")
         index.append((lam, s, t))
@@ -404,8 +403,7 @@ def det_is_unit_monomial(det):
 def express_in_murphy(x):
     """Coordinates of x over the Murphy basis of rank x.n (exact, unique)."""
     solver, index = _murphy_solver(x.n)
-    vec = {w: _rf(c) for w, c in x.coeffs.items()}
-    coords = solver.express(vec)
+    coords = solver.express(_vector(x))
     if coords is None:
         raise InternalInvariantError("element outside the Murphy span")
     return {index[i]: c for i, c in coords.items()}
@@ -654,7 +652,7 @@ def permutation_module_report(mu, n=None):
     solver = SpanSolver()
     key_index = []
     for j, lam, S, t, el in basis:
-        status, _ = solver.insert({w: _rf(c) for w, c in el.coeffs.items()})
+        status, _ = solver.insert(_vector(el))
         if status != "new":
             return {"free": False}
         key_index.append((j, lam, t))
@@ -662,12 +660,12 @@ def permutation_module_report(mu, n=None):
     module = SpanSolver()
     mmu = m_lambda(mu, n)
     queue = [mmu]
-    module.insert({w: _rf(c) for w, c in mmu.coeffs.items()})
+    module.insert(_vector(mmu))
     while queue:
         el = queue.pop()
         for i in range(1, n):
             nxt = el.times_gen(i)
-            status, _ = module.insert({w: _rf(c) for w, c in nxt.coeffs.items()})
+            status, _ = module.insert(_vector(nxt))
             if status == "new":
                 queue.append(nxt)
     free_rank_matches = module.rank == len(basis)
@@ -682,9 +680,7 @@ def permutation_module_report(mu, n=None):
     }
     for j, lam, S, t, el in basis:
         for i in range(1, n):
-            coords = solver.express(
-                {w: _rf(c) for w, c in el.times_gen(i).coeffs.items()}
-            )
+            coords = solver.express(_vector(el.times_gen(i)))
             if coords is None:
                 return {"free": True, "module_rank_matches": free_rank_matches,
                         "filtration_stable": False, "subquotients_match": False}

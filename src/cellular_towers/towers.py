@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .coeff import DV, QV, QZV, RationalFunction
+from .coeff import DV, QV, QZV, LaurentFraction
 from .combinatorics import partition_half_levels, singleton_chain, young_lattice
 from .diagrams import (
     BrauerDiagram,
@@ -36,6 +36,7 @@ from .errors import DomainError
 from .hecke import (
     HeckeElement,
     SymmetricGroupElement,
+    _vector as _hecke_vector,
     added_node,
     d_branching,
     m_lambda,
@@ -44,12 +45,6 @@ from .hecke import (
     young_subgroup,
 )
 from . import bmw as _bmw
-
-
-def _rf(c, vars):
-    if isinstance(c, RationalFunction):
-        return c
-    return RationalFunction.from_poly(c if c.vars == vars else c.extend_vars(vars))
 
 
 class _DiagramTowerBase:
@@ -93,7 +88,8 @@ class _DiagramTowerBase:
         return None
 
     def vector(self, x):
-        return {d: _rf(c, DV) for d, c in x.coeffs.items()}
+        of = LaurentFraction.of
+        return {d: of(c, DV) for d, c in x.coeffs.items()}
 
     def key_str(self, key):
         return str(key)
@@ -459,7 +455,7 @@ class HeckeTower:
         return [(f"T{i}", HeckeElement.t_gen(n, i)) for i in range(1, n)]
 
     def vector(self, x):
-        return {w: _rf(c, QV) for w, c in x.coeffs.items()}
+        return _hecke_vector(x)
 
     def key_str(self, key):
         return ",".join(map(str, key))

@@ -13,6 +13,7 @@ from cellular_towers.coeff import (
     QZV,
     Q,
     Z,
+    LaurentFraction,
     LaurentPoly,
     RationalFunction,
     delta_as_qz,
@@ -349,3 +350,101 @@ def test_gcd_filter_vanishing_leading_coefficient_falls_through():
     # z + 2 and z + 3 are coprime although the polynomials are not
     g = (q - r) * z + 1
     assert poly_gcd(g * (z + 2), g * (z + 3)) == g
+
+
+# ---------------------------------------------------------------------------
+# LaurentFraction against RationalFunction
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def laurent_fractions(draw, vars, max_terms=3):
+    """L / c with negative exponents allowed and c up to 12, as the pair
+    (LaurentFraction, the equal RationalFunction)."""
+    exps = st.tuples(*(st.integers(-4, 4) for _ in vars))
+    terms = draw(st.dictionaries(exps, st.integers(-12, 12), max_size=max_terms))
+    c = draw(st.integers(-12, 12).filter(bool))
+    poly = LaurentPoly(vars, terms)
+    return LaurentFraction(poly, c), RationalFunction(poly, LaurentPoly.const(vars, c))
+
+
+def _agrees(got, ref, kind=LaurentFraction):
+    """got has the type `kind`, equals ref both ways, hashes like it, and
+    prints and serializes to the same bytes."""
+    assert type(got) is kind
+    assert got == ref and ref == got
+    assert hash(got) == hash(ref)
+    assert str(got) == str(ref)
+    assert got.to_json() == ref.to_json()
+    if kind is LaurentFraction:
+        assert got.c >= 1 and (got.terms or got.c == 1)
+        assert gcd(got.c, *got.terms.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_laurent_fraction_matches_rational_function(data):
+    vars = data.draw(st.sampled_from([QV, DV]))
+    x, rx = data.draw(laurent_fractions(vars))
+    y, ry = data.draw(laurent_fractions(vars))
+    k = data.draw(st.integers(-5, 5))
+    _agrees(x, rx)
+    _agrees(x + y, rx + ry)
+    _agrees(x - y, rx - ry)
+    _agrees(x * y, rx * ry)
+    _agrees(-x, -rx)
+    # int operands on either side
+    _agrees(x + k, rx + k)
+    _agrees(k + x, k + rx)
+    _agrees(x - k, rx - k)
+    _agrees(k - x, k - rx)
+    _agrees(x * k, rx * k)
+    _agrees(k * x, k * rx)
+    assert (x == k) == (rx == k)
+    if x == k:
+        assert hash(x) == hash(k)
+    if y:
+        monomial = len(y.terms) == 1
+        kind = LaurentFraction if monomial else RationalFunction
+        _agrees(y.inverse(), ry.inverse(), kind)
+        _agrees(x / y, rx / ry, kind)
+        if k:
+            _agrees(k / y, k / ry, kind)
+    if k:
+        _agrees(x / k, rx / k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_laurent_fraction_with_rational_function_operand(data):
+    """Operations with a RationalFunction operand are computed by it."""
+    vars = data.draw(st.sampled_from([QV, DV]))
+    x, rx = data.draw(laurent_fractions(vars))
+    cof = COFACTORS[vars]
+    f = RationalFunction(LaurentPoly.one(vars), cof)  # not an L / c
+    for got, ref in ((x + f, rx + f), (f + x, f + rx), (x - f, rx - f), (f - x, f - rx),
+                     (x * f, rx * f), (f * x, f * rx), (x / f, rx / f)):
+        _agrees(got, ref, RationalFunction)
+    assert (x == f) is False and (f == x) is False
+
+
+def test_laurent_fraction_canonical_forms():
+    q = LaurentPoly.gen(QV, Q)
+    zero = LaurentFraction(LaurentPoly.zero(QV), 6)
+    assert zero.terms == {} and zero.c == 1 and not zero
+    # sign and content move onto the numerator and cancel with c
+    x = LaurentFraction(2 * q ** -2 + 4, -6)
+    assert x.terms == {(-2,): -1, (0,): -2} and x.c == 3
+    assert str(x) == "(-2*q^2 - 1)/(3*q^2)"
+    # the integer gcd cancels after a sum over a common c
+    half = LaurentFraction(LaurentPoly.one(QV), 2)
+    total = half + half
+    assert total.terms == {(0,): 1} and total.c == 1 and total == 1 and hash(total) == hash(1)
+    # a tower coefficient enters as L / 1, widened to the field's variables
+    of = LaurentFraction.of(LaurentPoly.const((), 3), DV)
+    assert of.vars == DV and of == 3
+    assert LaurentFraction.of(x, QV) is x
+    with pytest.raises(CoefficientRingError):
+        x + LaurentFraction.of(LaurentPoly.gen(DV, DELTA), DV)
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()

@@ -3,8 +3,8 @@
 Systems over the constants are also run through the reference as
 `fractions.Fraction` matrices, so their ranks, memberships and
 determinants do not depend on the package's coefficient arithmetic.  The
-reference is field-generic, and over Q(q) it runs on the RationalFunction
-entries themselves.  Coordinates are unique whenever they exist (only the
+reference is field-generic, and over Q(q) it runs on RationalFunction
+entries: the systems' own, or those equal to their LaurentFraction entries.  Coordinates are unique whenever they exist (only the
 vectors that enlarged the span get any), so it is enough that `express`
 puts them on those vectors only and rebuilds the vector it was given.
 """
@@ -14,24 +14,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import QV, LaurentPoly, RationalFunction
+from cellular_towers.coeff import QV, LaurentFraction, LaurentPoly, RationalFunction
 from cellular_towers.errors import InternalInvariantError
 from cellular_towers.linalg import SpanSolver, vec_sub_scaled
 
 # pivot orders: the first residual key, or the lowest under a sort key
 PIVOT_KEYS = [None, lambda k: -k, lambda k: (k % 2, k)]
 
+# constant fractions, Q(q) as RationalFunction, Q(q) as LaurentFraction
+RINGS = ["const", "q", "lf"]
+
 
 @st.composite
 def elements(draw, ring):
-    """A nonzero constant fraction, or a nonzero element of Q(q) with up to
-    two terms over a denominator of up to two terms."""
+    """A nonzero constant fraction; a nonzero element of Q(q) with up to two
+    terms over a denominator of up to two terms; or a nonzero Laurent
+    polynomial of up to two terms over an integer.  The last ring's
+    two-term pivots are not monomials, so their inverses are
+    RationalFunctions and the solver mixes the two types."""
     if ring == "const":
         a = draw(st.integers(-9, 9).filter(bool))
         b = draw(st.integers(1, 5))
         return RationalFunction(LaurentPoly((), {(): a}), LaurentPoly((), {(): b}))
     exps = st.tuples(st.integers(-2, 3))
     num = draw(st.dictionaries(exps, st.integers(-4, 4).filter(bool), min_size=1, max_size=2))
+    if ring == "lf":
+        return LaurentFraction(LaurentPoly(QV, num), draw(st.integers(1, 5)))
     den = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
     return RationalFunction(LaurentPoly(QV, num), LaurentPoly(QV, den))
 
@@ -78,7 +86,18 @@ def dense(rows, n_keys, ring):
     if ring == "const":
         return [[to_fraction(r[k]) if k in r else Fraction(0) for k in range(n_keys)] for r in rows]
     zero = RationalFunction.zero(QV)
-    return [[r.get(k, zero) for k in range(n_keys)] for r in rows]
+    return [[as_rf(r.get(k, zero)) for k in range(n_keys)] for r in rows]
+
+
+def as_rf(c):
+    """The RationalFunction equal to an entry, which may be a LaurentFraction."""
+    return c if isinstance(c, RationalFunction) else RationalFunction(c.num, c.den)
+
+
+def one(ring):
+    if ring == "lf":
+        return LaurentFraction(LaurentPoly.one(QV))
+    return RationalFunction.one(QV if ring == "q" else ())
 
 
 def gauss_jordan(matrix):
@@ -158,13 +177,13 @@ def insert_all(solver, rows, done, n_keys, ring):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_insert_and_coordinates_match_reference(data):
-    ring = data.draw(st.sampled_from(["const", "q"]))
+    ring = data.draw(st.sampled_from(RINGS))
     n_keys = data.draw(st.integers(1, 5))
     rows = data.draw(systems(ring, n_keys, data.draw(st.integers(0, 7))))
     solver = SpanSolver(pivot_key=data.draw(st.sampled_from(PIVOT_KEYS)))
     new = insert_all(solver, rows, 0, n_keys, ring)
     queries = [data.draw(combinations(ring, rows)), data.draw(vectors(ring, n_keys))]
-    queries += [{k: RationalFunction.one(QV if ring == "q" else ())} for k in range(n_keys)]
+    queries += [{k: one(ring)} for k in range(n_keys)]
     # each stored row starts the substitution from a single coefficient,
     # so the rows its lower factor brings in must be undone as well
     queries += list(solver.by_key.values())
@@ -186,7 +205,7 @@ def test_row_brought_in_by_a_lower_factor_is_undone():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_express_after_more_inserts_is_fresh(data):
-    ring = data.draw(st.sampled_from(["const", "q"]))
+    ring = data.draw(st.sampled_from(RINGS))
     n_keys = data.draw(st.integers(2, 5))
     rows = data.draw(systems(ring, n_keys, data.draw(st.integers(2, 8))))
     cut = data.draw(st.integers(1, len(rows) - 1))
@@ -204,7 +223,7 @@ def test_express_after_more_inserts_is_fresh(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_det_unit_matches_reference(data):
-    ring = data.draw(st.sampled_from(["const", "q"]))
+    ring = data.draw(st.sampled_from(RINGS))
     n = data.draw(st.integers(1, 4))
     rows = [data.draw(vectors(ring, n)) for _ in range(n)]
     order = data.draw(st.permutations(range(n)))
