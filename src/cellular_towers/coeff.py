@@ -802,9 +802,9 @@ def _monomial_fraction(vars, terms, exp, c):
     For a value L / c with L a Laurent polynomial and c a positive integer,
     the denominator is the monomial c·x^s with c coprime to the content of
     L and s minimal, i.e. s_i = max(0, -min_i L); the numerator is the
-    ordinary polynomial L·x^s.  One pass finds the numerator's minimum exponents, an integer gcd is taken
-    only when |c| > 1, and one new term map applies the exponent shift and
-    the content division together.
+    ordinary polynomial L·x^s.  One pass finds the numerator's minimum
+    exponents, an integer gcd is taken only when |c| > 1, and one new term
+    map applies the exponent shift and the content division together.
     """
     if not terms:
         return LaurentPoly._raw(vars, {}), LaurentPoly.one(vars)
@@ -896,14 +896,13 @@ class LaurentFraction:
 
     __slots__ = ("vars", "terms", "c")
 
-    def __init__(self, poly, c=1):
+    def __new__(cls, poly, c=1):
+        """poly / c for a LaurentPoly and a nonzero int."""
         if not c:
             raise ZeroDivisionError("Laurent fraction with zero denominator")
-        terms = poly.terms
         if c < 0:
-            terms, c = terms_neg(terms), -c
-        x = _lf(poly.vars, terms, c)
-        self.vars, self.terms, self.c = x.vars, x.terms, x.c
+            return _lf(poly.vars, terms_neg(poly.terms), -c)
+        return _lf(poly.vars, poly.terms, c)
 
     @classmethod
     def of(cls, x, vars):
@@ -997,12 +996,6 @@ class LaurentFraction:
         return RationalFunction(
             LaurentPoly.const(self.vars, self.c), LaurentPoly._raw(self.vars, terms)
         )
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return _lf_sign(self) == 1
 
     def __bool__(self):
         return bool(self.terms)

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over a fraction field.
 
 Vectors are dicts mapping hashable keys to field elements (anything with
-+, -, *, /, inverse and truthiness, e.g. RationalFunction).  SpanSolver
++, -, *, /, inverse and truthiness, e.g. LaurentFraction or
+RationalFunction, which may meet in one vector).  SpanSolver
 tracks a row space incrementally -- the single reduction path used for
 every "rank certificate" in the package.
 
