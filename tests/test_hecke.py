@@ -149,6 +149,27 @@ def test_murphy_transition_determinant_unit():
         assert det_is_unit_monomial(det)
 
 
+def test_murphy_outputs_pinned():
+    # exact sign and exponent, not just a unit: these are the values the
+    # rank-5 benchmark job prints
+    for n, (sign, k) in enumerate([(1, 0), (-1, 1), (-1, 7), (1, 50), (1, 380)], 1):
+        assert murphy_transition_det(n) == QP**k * sign
+    layers = {
+        (5,): [((4,), 1)],
+        (4, 1): [((4,), 1), ((3, 1), 3)],
+        (3, 2): [((3, 1), 3), ((2, 2), 2)],
+        (3, 1, 1): [((3, 1), 3), ((2, 1, 1), 3)],
+        (2, 2, 1): [((2, 2), 2), ((2, 1, 1), 3)],
+        (2, 1, 1, 1): [((2, 1, 1), 3), ((1, 1, 1, 1), 1)],
+        (1, 1, 1, 1, 1): [((1, 1, 1, 1), 1)],
+    }
+    assert sorted(layers) == sorted(partitions_of(5))
+    for lam, want in layers.items():
+        rep = restriction_filtration(lam, 5)
+        assert [(x["shape"], x["rank"]) for x in rep["layers"]] == want
+        assert rep["stable"] and rep["subquotients_match"] and rep["order_preserving"]
+
+
 def test_express_t_s1_against_manual_solve():
     # independent 2x2 solve: a (1 + q T1) + b * 1 = T1
     coords = express_in_murphy(HeckeElement.t_gen(2, 1))
