@@ -5,8 +5,10 @@ T_w(t), branching coefficients for restriction and induction, Garnir
 elements, the restriction filtration of cell modules, and the q = 1
 specialization onto the group algebra.
 
-Straightening is always done by a global linear solve against the Murphy
-basis (cached per rank); no rewriting mod the ideal is ever trusted.
+The Murphy basis is the Hecke tower's cell datum: the path basis
+d_s* m_lambda d_t of `framework.cellular_basis("hecke", n)`, labelled by
+tableaux. Straightening is always done by that datum's linear solve; no
+rewriting mod the ideal is ever trusted.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from functools import cache
 
 from .coeff import Q, QV, LaurentFraction, LaurentPoly, RationalFunction, specialize
 from .combinatorics import (
-    addable_nodes,
     dominance_geq,
+    garnir_tableau,
     partitions_of,
+    path_to_tableau,
     remove_node,
     removable_nodes,
     semistandard_tableaux,
@@ -29,7 +32,6 @@ from .combinatorics import (
     tableau_entries,
     tableau_restrict,
     tableau_type_map,
-    is_standard,
 )
 from .errors import DomainError, InternalInvariantError
 from .linalg import SpanSolver
@@ -258,7 +260,7 @@ class HeckeElement:
         return {
             "n": self.n,
             "coeffs": {
-                ",".join(map(str, w)): _coeff_json(c)
+                ",".join(map(str, w)): c.to_json()
                 for w, c in sorted(self.coeffs.items())
             },
         }
@@ -271,10 +273,6 @@ def _acc(d, k, c):
         d[k] = s
     else:
         d.pop(k, None)
-
-
-def _coeff_json(c):
-    return c.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +322,35 @@ def murphy_element(lam, s, t, n=None):
     return (left * m_lambda(lam, n)).times_word(reduced_word(wt))
 
 
+def _datum(n):
+    # framework imports this module through towers, so it is imported here
+    from .framework import cellular_basis
+
+    return cellular_basis("hecke", n)
+
+
 @cache
+def _tableau_labels(n):
+    """Each key (vertex, si, ti) of the Hecke cell datum at rank n, as the
+    Murphy label (lam, s, t) of its two branching paths."""
+    datum = _datum(n)
+    tabs = {
+        v: [path_to_tableau(tuple(lam for lam, _ in p)) for p in datum.paths[v]]
+        for v in datum.vertices
+    }
+    return {(v, si, ti): (v[0], tabs[v][si], tabs[v][ti]) for v, si, ti in datum.index}
+
+
 def murphy_basis(n):
     """The full Murphy family at rank n: tuples (lam, s, t, element).
 
-    Ordered by partitions_of(n) then by the path order on tableaux; the
-    family has cardinality n!.
+    This is the path basis d_s* m_lam d_t of the Hecke cell datum, ordered
+    by partitions_of(n) then by the path order on tableaux; the family has
+    cardinality n!.
     """
-    out = []
-    for lam in partitions_of(n):
-        tabs = standard_tableaux(lam)
-        mlam = m_lambda(lam, n)
-        cache_left = {}
-        for s in tabs:
-            ws = reduced_word(tableau_permutation(s))
-            left = cache_left.get(ws)
-            if left is None:
-                left = HeckeElement.one(n).times_word(ws).star() * mlam
-                cache_left[ws] = left
-            for t in tabs:
-                wt = reduced_word(tableau_permutation(t))
-                out.append((lam, s, t, left.times_word(wt)))
-    return tuple(out)
+    datum = _datum(n)
+    labels = _tableau_labels(n)
+    return tuple((*labels[k], datum.elements[k]) for k in datum.index)
 
 
 def _vector(x):
@@ -371,27 +376,9 @@ def murphy_basis_json(n):
     ]
 
 
-@cache
-def _murphy_solver(n):
-    # built once per rank and then shared read-only, pivoting in the
-    # tower's order
-    from .towers import tower
-
-    solver = SpanSolver(pivot_key=tower("hecke").pivot_key(n))
-    index = []
-    for lam, s, t, el in murphy_basis(n):
-        status, _ = solver.insert(_vector(el))
-        if status != "new":
-            raise InternalInvariantError("Murphy family is linearly dependent")
-        index.append((lam, s, t))
-    return solver, tuple(index)
-
-
 def murphy_transition_det(n):
     """det of the change of basis Murphy -> T, over Q(q)."""
-    solver, _ = _murphy_solver(n)
-    keys = sorted(solver.by_key)  # all n! permutations in a fixed order
-    return solver.det_unit(keys)
+    return _datum(n).det
 
 
 def det_is_unit_monomial(det):
@@ -402,11 +389,11 @@ def det_is_unit_monomial(det):
 
 def express_in_murphy(x):
     """Coordinates of x over the Murphy basis of rank x.n (exact, unique)."""
-    solver, index = _murphy_solver(x.n)
-    coords = solver.express(_vector(x))
+    coords = _datum(x.n).express(x)
     if coords is None:
         raise InternalInvariantError("element outside the Murphy span")
-    return {index[i]: c for i, c in coords.items()}
+    labels = _tableau_labels(x.n)
+    return {labels[k]: c for k, c in coords.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +474,6 @@ def garnir_element(lam, node):
     not lie in the dominance ideal (visible already at lam = (1,1)).
     Membership h_g in M^lam cap H^{> lam} is certified by express_in_murphy.
     """
-    from .combinatorics import garnir_tableau
-
     n = sum(lam)
     g = garnir_tableau(lam, node)
     wg = tableau_permutation(g)
@@ -540,73 +525,21 @@ def cell_action(lam, n, i):
 def restriction_filtration(lam, n=None):
     """Order-preserving cell filtration of Res H_{n-1} of the lam cell module.
 
-    Returns a report dict with the node order, the layer bases, and booleans
-    for H_{n-1}-stability, subquotient action match, and rank counts.
+    The certificate of `framework.restriction_filtration_a` at the vertex
+    (lam, 0), with each layer's partition added as "shape": booleans for
+    H_{n-1}-stability, subquotient action match and order preservation, and
+    the rank of each layer.
     """
+    from .framework import restriction_filtration_a
+
     if n is None:
         n = sum(lam)
     if n != sum(lam):
         raise DomainError("rank must equal |lam|")
-    tabs = standard_tableaux(lam)
-    nodes = removable_nodes(lam)
-    groups = {node: [] for node in nodes}
-    for t in tabs:
-        pos = tableau_entries(t)[n]
-        groups[pos].append(t)
-    actions = {i: cell_action(lam, n, i) for i in range(1, n - 1)}
-    report = {
-        "shape": lam,
-        "nodes": nodes,
-        "layers": [],
-        "stable": True,
-        "subquotients_match": True,
-        "order_preserving": True,
-    }
-    allowed = set()
-    prev_mu = None
-    for node in nodes:
-        mu = remove_node(lam, node)
-        layer = groups[node]
-        allowed |= set(layer)
-        stable = all(
-            set(actions[i][t]) <= allowed for i in actions for t in layer
-        )
-        # the subquotient action must match the mu cell module under s -> s u node
-        match = True
-        sub_actions = {i: cell_action(mu, n - 1, i) for i in range(1, n - 1)}
-        strictly_lower = allowed - set(layer)
-        for i in actions:
-            for t in layer:
-                t_small = tableau_restrict(t, n - 1)
-                expected = sub_actions[i][t_small]
-                got = {
-                    v: c
-                    for v, c in actions[i][t].items()
-                    if v not in strictly_lower
-                }
-                want = {}
-                for v_small, c in expected.items():
-                    want[_adjoin(v_small, node, n)] = c
-                if got != want:
-                    match = False
-        if prev_mu is not None and not (dominance_geq(prev_mu, mu) and prev_mu != mu):
-            report["order_preserving"] = False
-        prev_mu = mu
-        report["stable"] &= stable
-        report["subquotients_match"] &= match
-        report["layers"].append(
-            {"node": node, "shape": mu, "rank": len(layer), "tableaux": tuple(layer)}
-        )
+    report = restriction_filtration_a("hecke", (lam, 0), n)
+    for layer in report["layers"]:
+        layer["shape"] = layer["vertex"][0]
     return report
-
-
-def _adjoin(tab, node, entry):
-    i, j = node
-    rows = [list(r) for r in tab]
-    if i - 1 == len(rows):
-        rows.append([])
-    rows[i - 1].append(entry)
-    return tuple(tuple(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +570,11 @@ def permutation_module_report(mu, n=None):
     partial spans M_i are H_n-stable, and that each subquotient carries the
     cell-module action through m_{S_j t} + M_{j-1} -> m^{lam(j)}_t.
     """
+    from .towers import tower  # towers imports this module
+
     if n is None:
         n = sum(mu)
+    pivot_key = tower("hecke").pivot_key(n)
     layers = []
     for lam in partitions_of(n):
         for S in semistandard_tableaux(lam, mu):
@@ -649,7 +585,7 @@ def permutation_module_report(mu, n=None):
     for j, (lam, S) in enumerate(layers):
         for t in standard_tableaux(lam):
             basis.append((j, lam, S, t, semistandard_basis_element(S, t, mu, n)))
-    solver = SpanSolver()
+    solver = SpanSolver(pivot_key=pivot_key)
     key_index = []
     for j, lam, S, t, el in basis:
         status, _ = solver.insert(_vector(el))
@@ -657,7 +593,7 @@ def permutation_module_report(mu, n=None):
             return {"free": False}
         key_index.append((j, lam, t))
     # rank of m_mu H_n by closure
-    module = SpanSolver()
+    module = SpanSolver(pivot_key=pivot_key)
     mmu = m_lambda(mu, n)
     queue = [mmu]
     module.insert(_vector(mmu))

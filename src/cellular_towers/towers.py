@@ -14,6 +14,7 @@ level 2i+1 is the half-integer subalgebra inside i+1 strands.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache
 
@@ -40,24 +41,18 @@ from .hecke import (
     added_node,
     d_branching,
     m_lambda,
+    perm_from_word,
     perm_len,
+    reduced_word,
     u_branching,
     young_subgroup,
 )
 from . import bmw as _bmw
 
 
-class _DiagramTowerBase:
-    """Shared plumbing for the three diagram towers over Z[delta]."""
-
-    field_vars = DV
-    has_contractions = True
-
-    def one(self, n):
-        return DiagramElement.one(self.strands(n), self.diagram_cls)
-
-    def zero(self, n):
-        return DiagramElement(self.strands(n))
+class _TowerBase:
+    """Plumbing shared by every tower: the element classes carry their own
+    arithmetic, and level n has n strands."""
 
     def mul(self, x, y):
         return x * y
@@ -71,13 +66,11 @@ class _DiagramTowerBase:
     def scale(self, x, f):
         return x.scale(f)
 
+    def is_zero(self, x):
+        return x.is_zero()
+
     def include(self, x, from_level, to_level):
-        if to_level < from_level:
-            raise DomainError("cannot include downward")
-        s = self.strands(to_level)
-        if x.n == s:
-            return x
-        return DiagramElement(s, {d.pad(s): c for d, c in x.coeffs.items()})
+        return x.embed(to_level)
 
     def strands(self, n):
         return n
@@ -87,15 +80,33 @@ class _DiagramTowerBase:
         residual key (no other order has been measured to help here)."""
         return None
 
-    def vector(self, x):
-        of = LaurentFraction.of
-        return {d: of(c, DV) for d, c in x.coeffs.items()}
-
     def key_str(self, key):
         return str(key)
 
-    def is_zero(self, x):
-        return x.is_zero()
+
+class _DiagramTowerBase(_TowerBase):
+    """Shared plumbing for the three diagram towers over Z[delta]."""
+
+    field_vars = DV
+    has_contractions = True
+
+    def one(self, n):
+        return DiagramElement.one(self.strands(n), self.diagram_cls)
+
+    def zero(self, n):
+        return DiagramElement(self.strands(n))
+
+    def include(self, x, from_level, to_level):
+        if to_level < from_level:
+            raise DomainError("cannot include downward")
+        s = self.strands(to_level)
+        if x.n == s:
+            return x
+        return DiagramElement(s, {d.pad(s): c for d, c in x.coeffs.items()})
+
+    def vector(self, x):
+        of = LaurentFraction.of
+        return {d: of(c, DV) for d, c in x.coeffs.items()}
 
 
 class BrauerTower(_DiagramTowerBase):
@@ -301,7 +312,7 @@ class PartitionTower(_DiagramTowerBase):
         return SymmetricGroupElement(m, out)
 
 
-class BMWTower:
+class BMWTower(_TowerBase):
     name = "bmw"
     field_vars = QZV
     has_contractions = True
@@ -316,14 +327,6 @@ class BMWTower:
     def h_dim(self, n):
         return math.factorial(n)
 
-    def strands(self, n):
-        return n
-
-    def pivot_key(self, n):
-        """Sort key for the basis solver's pivots; None takes the first
-        residual key (no other order has been measured to help here)."""
-        return None
-
     def basis_keys(self, n):
         return tuple(d for d, _ in _bmw.bmw_normal_forms(n))
 
@@ -336,24 +339,6 @@ class BMWTower:
 
     def zero(self, n):
         return _bmw.BMWElement(n)
-
-    def mul(self, x, y):
-        return x * y
-
-    def star(self, x):
-        return x.star()
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, x, f):
-        return x.scale(f)
-
-    def include(self, x, from_level, to_level):
-        return x.embed(to_level)
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def e_elt(self, i, n):
         return _bmw.BMWElement.e(n, i)
@@ -368,15 +353,10 @@ class BMWTower:
     def vector(self, x):
         return dict(x.basis_keys())
 
-    def key_str(self, key):
-        return str(key)
-
     def h_diagram(self, depth):
         return young_lattice(depth)
 
     def c_lift(self, lam, n):
-        from .hecke import reduced_word
-
         out = _bmw.BMWElement(n)
         for v in young_subgroup(lam, n):
             out = out + _bmw.BMWElement.from_word(
@@ -396,7 +376,7 @@ class BMWTower:
         return _bmw.bmw_to_hecke(x)
 
 
-class HeckeTower:
+class HeckeTower(_TowerBase):
     """The degenerate tower A_n = H_n: no contractions, the path basis is
     the Murphy basis."""
 
@@ -411,17 +391,12 @@ class HeckeTower:
     def h_dim(self, n):
         return math.factorial(n)
 
-    def strands(self, n):
-        return n
-
     def pivot_key(self, n):
         # short permutations first keeps the Murphy reduction near-triangular
         # and its pivots monomial, so no fraction needs a gcd
         return lambda w: (perm_len(w), w)
 
     def basis_keys(self, n):
-        import itertools
-
         return tuple(sorted(itertools.permutations(range(1, n + 1))))
 
     def element_of_key(self, key, n):
@@ -432,24 +407,6 @@ class HeckeTower:
 
     def zero(self, n):
         return HeckeElement(n)
-
-    def mul(self, x, y):
-        return x * y
-
-    def star(self, x):
-        return x.star()
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, x, f):
-        return x.scale(f)
-
-    def include(self, x, from_level, to_level):
-        return x.embed(to_level)
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def generators(self, n):
         return [(f"T{i}", HeckeElement.t_gen(n, i)) for i in range(1, n)]
@@ -479,8 +436,6 @@ class HeckeTower:
 def _s_range(a, b, n):
     """The permutation s_{a,b} = s_a s_{a+1} ... s_{b-1} (a <= b, the cycle
     sending a to b) or s_{a-1} s_{a-2} ... s_b (a > b); identity if a = b."""
-    from .hecke import perm_from_word
-
     word = range(a, b) if a <= b else range(a - 1, b - 1, -1)
     return perm_from_word(word, n)
 

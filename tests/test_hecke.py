@@ -143,6 +143,22 @@ def test_murphy_basis_cardinality():
     assert by_shape[(1, 1)] == HeckeElement.one(2)
 
 
+def test_murphy_basis_order_and_elements():
+    # the family read from the cell datum keeps the documented order, and
+    # each element is the independently built T_w(s)* m_lam T_w(t)
+    for n in range(1, 5):
+        labels = [
+            (lam, s, t)
+            for lam in partitions_of(n)
+            for s in standard_tableaux(lam)
+            for t in standard_tableaux(lam)
+        ]
+        family = murphy_basis(n)
+        assert [(lam, s, t) for lam, s, t, _ in family] == labels
+        for lam, s, t, el in family:
+            assert el == murphy_element(lam, s, t, n)
+
+
 def test_murphy_transition_determinant_unit():
     for n in (2, 3, 4):
         det = murphy_transition_det(n)
