@@ -5,16 +5,30 @@ the (n, n)-Brauer diagrams: each diagram is lifted to a canonical word
 (top-arc permutation) . (e_1 e_3 ... e_{2f-1}) . (bottom-arc permutation),
 with positive crossings along our canonical reduced words.
 
-Multiplication is by generator rewriting.  `reduce_word` rewrites any g/e
-word into the span of words in which each generator index occurs at most
-once at the top level (the classical inductive spanning set), using a
-twelve-case local relation table; coefficients stay polynomial in
-Z[q^0.., z^.., delta].  A rank-n model is then certified by linear algebra:
-the cyclic closure of 1 under the rewriting action must have dimension
-exactly (2n-1)!!, and the defining relations are checked on the restricted
-matrices; this pins the model to the abstract algebra without assuming the
-rewriting system is confluent.  delta never appears in stored coordinates:
-it is eliminated into Q(q, z).
+The rank-n model is built by vector enumeration (Linton 1991, 1993): the
+right regular module is enumerated from b_0 = 1 straight from the tokens
+(g_i, e_i) and the defining relators, with coefficients in Q(q, z), where
+delta is eliminated.  The certificate:
+
+- The enumerated module is cyclic, generated by b_0, and every
+  coincidence is a consequence of the relations; once every relator
+  vanishes at every basis vector, the module is the regular
+  representation of the presented algebra.
+- Its dimension must equal (2n-1)!!.
+- The image b_0 . w of each canonical lift w is computed without defining
+  new vectors, and these images must be independent; they are the basis in
+  which the token action (rho) and the anti-involution are read.
+- check_relations() verifies every defining relation on rho, which is the
+  statement that every relator is zero at every basis vector, written in
+  the lift basis.  Its relation set generates the same ideal as the
+  relators (the third relator follows from the first and g e = z^{-1} e).
+
+No confluence of any rewriting system is assumed.  `reduce_word` rewrites
+a g/e word into the span of words in which each generator index occurs at
+most once at the top level (the classical inductive spanning set), using a
+twelve-case local relation table, with coefficients polynomial in
+Z[q^{±1}, z^{±1}, delta]; it serves the word representation that elements
+carry for the specialization maps.
 """
 
 from __future__ import annotations
@@ -177,17 +191,6 @@ def _reduce(word, budget):
     return out
 
 
-@cache
-def _reduce_f(word):
-    """reduce_word with delta eliminated into Q(q, z)."""
-    out = {}
-    for w, c in reduce_word(word).items():
-        f = delta_eliminate(c)
-        if f:
-            out[w] = f
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical lifts of Brauer diagrams
 # ---------------------------------------------------------------------------
@@ -242,17 +245,136 @@ def bmw_normal_forms(n):
 # the rank-n model
 # ---------------------------------------------------------------------------
 
+# vectors the enumeration may define per dimension of the algebra before it
+# gives up (rank 3 defines 67 for 15, rank 4 717 for 105)
+_ENUM_BUDGET = 50
+
+
+class _Enumeration:
+    """Linear (vector) enumeration of the right regular module from 1
+    (Linton 1991, J. Symbolic Comput. 12; Linton 1993, Linear Algebra Appl.
+    192), over Q(q, z).
+
+    Vector 0 is b_0 = 1.  table[v] maps each token to the image of v, a
+    sparse combination of vectors; it is None once v has been eliminated,
+    and elim[v] then holds v as a combination of older vectors.  Vectors
+    are visited in the order they were defined (the HLT order of coset
+    enumeration): a visit defines every missing token image as a new vector
+    and applies every relator at v.  A relator image that is not zero is a
+    coincidence: the newest vector in its support is eliminated, and for
+    each token image it had, the image of its combination minus the stored
+    image is processed the same way.  Eliminated indices are substituted
+    lazily, when a table entry is read.
+    """
+
+    def __init__(self, tokens, relators, budget):
+        self.tokens = tokens
+        self.table = [{}]
+        self.elim = {}  # one entry per coincidence
+        v = 0
+        while v < len(self.table):
+            if len(self.table) > budget:
+                raise InternalInvariantError(
+                    f"vector enumeration defined more than {budget} vectors"
+                )
+            if self.table[v] is not None:
+                self._visit(v, relators)
+            v += 1
+        self.dim = len(self.table) - len(self.elim)
+
+    def _new(self):
+        self.table.append({})
+        return len(self.table) - 1
+
+    def _visit(self, v, relators):
+        row = self.table[v]
+        for t in self.tokens:
+            if t not in row:
+                row[t] = {self._new(): F_ONE}
+        # images of word prefixes at v: relators share their prefixes
+        memo = {(): {v: F_ONE}}
+        for rel in relators:
+            out = {}
+            for word, c in rel:
+                for u, x in self._prefix_image(memo, word).items():
+                    _acc(out, u, x * c)
+            if out:
+                self._coincide(out)
+                if self.table[v] is None:
+                    return
+                memo = {(): {v: F_ONE}}
+
+    def _prefix_image(self, memo, word):
+        img = memo.get(word)
+        if img is None:
+            img = self.act(self._prefix_image(memo, word[:-1]), word[-1], True)
+            memo[word] = img
+        return img
+
+    def norm(self, vec):
+        """vec with every eliminated vector substituted away."""
+        elim = self.elim
+        dead = [k for k in vec if k in elim]
+        if not dead:
+            return vec
+        out = dict(vec)
+        while dead:
+            for k in dead:
+                c = out.pop(k, None)
+                if c is not None:
+                    for j, y in elim[k].items():
+                        _acc(out, j, c * y)
+            dead = [k for k in out if k in elim]
+        return out
+
+    def act(self, vec, token, define=False):
+        """The image of a combination of live vectors under a token; a
+        missing image becomes a new vector only when define is set."""
+        out = {}
+        for u, c in vec.items():
+            row = self.table[u]
+            img = row.get(token)
+            if img is None:
+                if not define:
+                    raise InternalInvariantError(f"image of vector {u} under {token} undefined")
+                img = row[token] = {self._new(): F_ONE}
+            else:
+                normed = self.norm(img)
+                if normed is not img:
+                    img = row[token] = normed
+            for w, x in img.items():
+                _acc(out, w, c * x)
+        return out
+
+    def apply(self, vec, word):
+        for t in word:
+            vec = self.act(vec, t)
+        return vec
+
+    def _coincide(self, vec):
+        """Quotient by vec = 0 and by every consequence it forces."""
+        queue = [vec]
+        while queue:
+            vec = self.norm(queue.pop())
+            if not vec:
+                continue
+            h = max(vec)
+            f = -vec.pop(h).inverse()
+            combo = {k: c * f for k, c in vec.items()}
+            self.elim[h] = combo
+            row = self.table[h]
+            self.table[h] = None
+            for t, img in row.items():
+                diff = self.act(combo, t, True)
+                for k, c in img.items():
+                    _acc(diff, k, -c)
+                queue.append(diff)
+
 
 class _Model:
-    """Coordinates for W_n over the diagram-indexed normal forms.
-
-    Construction: the free token action on the span of reduced words is
-    closed up from the vector of the empty word (the spanning set is
-    redundant, so this closure U over-counts); the kernel K is generated
-    by tracing every defining relation through every closure basis vector
-    and saturating under the action.  U/K is then a cyclic module over the
-    presented algebra, so dim(U/K) = (2n-1)!! certifies U/K = W_n, with the
-    canonical diagram lifts as a basis.
+    """Coordinates for W_n over the diagram-indexed normal forms, read from
+    the vector enumeration of the right regular module in the basis of the
+    canonical lifts' images; the module docstring gives the certificate.
     """
 
     def __init__(self, n):
@@ -262,103 +384,44 @@ class _Model:
         self.words = {d: w for d, w in forms}
         self.index = {d: i for i, d in enumerate(self.keys)}
         self.tokens = [i for i in range(1, n)] + [-i for i in range(1, n)]
-        self._build()
         self._mult_rows = {}
         self.relations_ok = None
-
-    # the right action of a token on a vector over reduced words
-    def _step(self, vec, token):
-        out = {}
-        for w, c in vec.items():
-            for w2, c2 in _reduce_f(w + (token,)).items():
-                _acc(out, w2, c * c2)
-        return out
-
-    def _apply_word(self, vec, word):
-        for t in word:
-            vec = self._step(vec, t)
-        return vec
-
-    def _trace(self, vec, relation):
-        """Image of vec under a relation sum_w c_w * (right action of w)."""
-        out = {}
-        for word, c in relation:
-            img = self._apply_word(vec, word)
-            for w, cw in img.items():
-                _acc(out, w, cw * c)
-        return out
+        self._build()
+        if not self.check_relations():
+            raise InternalInvariantError(f"defining relations fail on the rank-{n} model")
 
     def _build(self):
         n = self.n
         dim = double_factorial_odd(n)
-        v0 = {(): F_ONE}
-        closure = SpanSolver()
-        closure.insert(v0)
-        basis_vecs = [v0]
-        queue = [v0]
-        while queue:
-            vec = queue.pop()
-            for t in self.tokens:
-                nxt = self._step(vec, t)
-                status, _ = closure.insert(nxt)
-                if status == "new":
-                    basis_vecs.append(nxt)
-                    queue.append(nxt)
-        # kernel: relation traces from every basis vector, closed under the action
-        relations = _relation_list(n)
-        kernel = SpanSolver()
-        k_vecs = []
-        k_queue = []
-        for u in basis_vecs:
-            for rel in relations:
-                kv = self._trace(u, rel)
-                if kv and kernel.insert(kv)[0] == "new":
-                    k_vecs.append(kv)
-                    k_queue.append(kv)
-        while k_queue:
-            kv = k_queue.pop()
-            for t in self.tokens:
-                nxt = self._step(kv, t)
-                if nxt and kernel.insert(nxt)[0] == "new":
-                    k_vecs.append(nxt)
-                    k_queue.append(nxt)
-        if closure.rank - kernel.rank != dim:
+        enum = _Enumeration(self.tokens, _relation_list(n), _ENUM_BUDGET * dim)
+        if enum.dim != dim:
             raise InternalInvariantError(
-                f"certified dimension {closure.rank - kernel.rank} != {dim} at rank {n}"
+                f"enumerated dimension {enum.dim} != {dim} at rank {n}"
             )
-        # coordinates modulo the kernel: insert kernel generators first
+        b0 = enum.norm({0: F_ONE})
         coords = SpanSolver()
-        for kv in k_vecs:
-            coords.insert(kv)
-        self._n_kernel = coords.n_inserted
-        images = {}
+        images = []
         for d in self.keys:
-            images[d] = self._apply_word(v0, self.words[d])
-            status, _ = coords.insert(images[d])
-            if status != "new":
+            img = enum.apply(b0, self.words[d])
+            if coords.insert(img)[0] != "new":
                 raise InternalInvariantError(
                     f"canonical lift of {d} is dependent at rank {n}"
                 )
+            images.append(img)
         self._coords = coords
-        rho = {}
-        for t in self.tokens:
-            rows = []
-            for d in self.keys:
-                rows.append(self._express(self._step(images[d], t)))
-            rho[t] = rows
-        self.rho = rho
+        self.rho = {
+            t: [self._express(enum.act(img, t)) for img in images] for t in self.tokens
+        }
         self.star_rows = [
-            self._express(self._apply_word(v0, tuple(reversed(self.words[d]))))
-            for d in self.keys
+            self._express(enum.apply(b0, reversed(self.words[d]))) for d in self.keys
         ]
 
     def _express(self, vec):
-        """Coordinates over the diagram keys, modulo the kernel."""
+        """Coordinates over the diagram keys."""
         combo = self._coords.express(vec)
         if combo is None:
-            raise InternalInvariantError("vector left the certified span")
-        nk = self._n_kernel
-        return {i - nk: c for i, c in combo.items() if i >= nk}
+            raise InternalInvariantError("vector left the enumerated module")
+        return combo
 
     # -- coordinate operations ------------------------------------------------
 
@@ -531,7 +594,8 @@ class BMWElement:
                 raise DomainError(f"token {t} out of range at rank {n}")
         m = bmw_model(n)
         f = delta_eliminate(coeff)
-        coords = {i: c * f for i, c in m.word_coords(word).items() if c * f}
+        # the constructor drops the coordinates that vanish
+        coords = {i: c * f for i, c in m.word_coords(word).items()}
         words = {}
         for w, c in reduce_word(word).items():
             _acc(words, w, c * coeff)
@@ -586,12 +650,12 @@ class BMWElement:
             words = (
                 None
                 if self.words is None
-                else {w: c * fp for w, c in self.words.items() if c * fp}
+                else {w: p for w, c in self.words.items() if (p := c * fp)}
             )
         else:
             ff = f
             words = None
-        coords = {i: c * ff for i, c in self.coords.items() if c * ff}
+        coords = {i: c * ff for i, c in self.coords.items()}
         return BMWElement(self.n, coords, words)
 
     def times_token(self, token):

@@ -1,9 +1,18 @@
+"""The BMW algebra.  The rank-n model, built by vector enumeration, is
+checked against a reference written here: the construction it replaced,
+which closes the span of 1 over rewritten words and quotients by the
+kernel of every relation traced through that closure."""
+
 import random
 
 import pytest
 
+from cellular_towers import bmw
 from cellular_towers.bmw import (
     BMWElement,
+    _acc,
+    _Model,
+    _relation_list,
     bmw_lift_branching,
     bmw_model,
     bmw_normal_forms,
@@ -21,12 +30,110 @@ from cellular_towers.coeff import (
     delta_as_qz,
     delta_eliminate,
 )
-from cellular_towers.diagrams import BrauerDiagram, DiagramElement, brauer_basis
-from cellular_towers.errors import BoundExceededError, DomainError
+from cellular_towers.diagrams import (
+    BrauerDiagram,
+    DiagramElement,
+    brauer_basis,
+    double_factorial_odd,
+)
+from cellular_towers.errors import BoundExceededError, DomainError, InternalInvariantError
 from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
+from cellular_towers.linalg import SpanSolver
 
 QP = LaurentPoly.gen(QZDV, "q")
+F_ONE = RationalFunction.one(QZV)
+
+
+# ---------------------------------------------------------------------------
+# reference model: closure over words, then the relation kernel
+# ---------------------------------------------------------------------------
+
+
+def _reduce_f(word, memo={}):
+    """reduce_word with delta eliminated into Q(q, z)."""
+    out = memo.get(word)
+    if out is None:
+        out = {}
+        for w, c in reduce_word(word).items():
+            f = delta_eliminate(c)
+            if f:
+                out[w] = f
+        memo[word] = out
+    return out
+
+
+def _step(vec, token):
+    out = {}
+    for w, c in vec.items():
+        for w2, c2 in _reduce_f(w + (token,)).items():
+            _acc(out, w2, c * c2)
+    return out
+
+
+def _apply_word(vec, word):
+    for t in word:
+        vec = _step(vec, t)
+    return vec
+
+
+def _trace(vec, relation):
+    out = {}
+    for word, c in relation:
+        for w, cw in _apply_word(vec, word).items():
+            _acc(out, w, cw * c)
+    return out
+
+
+def reference_model(n):
+    """(rho, star_rows) of the rank-n model: the cyclic closure U of the
+    empty word under the rewriting action, modulo the kernel K generated by
+    every relation traced through every closure vector and saturated under
+    the action; dim(U/K) = (2n-1)!! and the canonical lifts give the basis."""
+    forms = bmw_normal_forms(n)
+    tokens = [i for i in range(1, n)] + [-i for i in range(1, n)]
+    v0 = {(): F_ONE}
+    closure = SpanSolver()
+    closure.insert(v0)
+    basis_vecs, queue = [v0], [v0]
+    while queue:
+        vec = queue.pop()
+        for t in tokens:
+            nxt = _step(vec, t)
+            if closure.insert(nxt)[0] == "new":
+                basis_vecs.append(nxt)
+                queue.append(nxt)
+    kernel = SpanSolver()
+    k_vecs = []
+    for u in basis_vecs:
+        for rel in _relation_list(n):
+            kv = _trace(u, rel)
+            if kv and kernel.insert(kv)[0] == "new":
+                k_vecs.append(kv)
+    k_queue = list(k_vecs)
+    while k_queue:
+        kv = k_queue.pop()
+        for t in tokens:
+            nxt = _step(kv, t)
+            if nxt and kernel.insert(nxt)[0] == "new":
+                k_vecs.append(nxt)
+                k_queue.append(nxt)
+    assert closure.rank - kernel.rank == double_factorial_odd(n)
+    coords = SpanSolver()
+    for kv in k_vecs:
+        coords.insert(kv)
+    nk = coords.n_inserted
+    images = [_apply_word(v0, w) for _, w in forms]
+    for img in images:
+        assert coords.insert(img)[0] == "new"
+
+    def express(vec):
+        combo = coords.express(vec)
+        return {i - nk: c for i, c in combo.items() if i >= nk}
+
+    rho = {t: [express(_step(img, t)) for img in images] for t in tokens}
+    star_rows = [express(_apply_word(v0, tuple(reversed(w)))) for _, w in forms]
+    return rho, star_rows
 
 
 def rand_word(rng, n, maxlen=4):
@@ -75,6 +182,35 @@ def test_reduce_word_paper_relations():
 def test_defining_relations_via_model():
     assert bmw_model(2).check_relations()
     assert bmw_model(3).check_relations()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerated_model_matches_reference(n):
+    rho, star_rows = reference_model(n)
+    m = bmw_model(n)
+    assert m.rho == rho
+    assert m.star_rows == star_rows
+
+
+def test_rank_4_model():
+    m = bmw_model(4)
+    assert len(m.keys) == 105
+    assert m.check_relations()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wrong_relation_collapses_and_raises(n, monkeypatch):
+    # e_1 e_1 = (delta + 1) e_1 in place of delta e_1: the enumeration
+    # collapses below (2n-1)!!, and the model must refuse to build
+    def perturbed(k):
+        rels = list(_relation_list(k))
+        i = rels.index((((-1, -1), F_ONE), ((-1,), -delta_as_qz())))
+        rels[i] = (((-1, -1), F_ONE), ((-1,), -(delta_as_qz() + F_ONE)))
+        return tuple(rels)
+
+    monkeypatch.setattr(bmw, "_relation_list", perturbed)
+    with pytest.raises(InternalInvariantError):
+        _Model(n)
 
 
 def test_generator_identities():
@@ -127,22 +263,23 @@ def test_embedding_is_multiplicative():
 
 def test_word_and_coordinate_representations_agree():
     rng = random.Random(7)
-    m = bmw_model(3)
-    for _ in range(30):
-        x = BMWElement.from_word(3, rand_word(rng, 3))
-        y = BMWElement.from_word(3, rand_word(rng, 3))
-        p = x * y
-        acc = {}
-        for w, c in p.words.items():
-            f = delta_eliminate(c)
-            for i, cc in m.word_coords(w).items():
-                s = acc.get(i)
-                s = cc * f if s is None else s + cc * f
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
-        assert acc == p.coords
+    for n, count in ((3, 30), (4, 10)):
+        m = bmw_model(n)
+        for _ in range(count):
+            x = BMWElement.from_word(n, rand_word(rng, n))
+            y = BMWElement.from_word(n, rand_word(rng, n))
+            p = x * y
+            acc = {}
+            for w, c in p.words.items():
+                f = delta_eliminate(c)
+                for i, cc in m.word_coords(w).items():
+                    s = acc.get(i)
+                    s = cc * f if s is None else s + cc * f
+                    if s:
+                        acc[i] = s
+                    else:
+                        acc.pop(i, None)
+            assert acc == p.coords
 
 
 def test_quotient_to_hecke():

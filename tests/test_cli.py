@@ -51,6 +51,7 @@ def test_gen_basis_deterministic(tmp_path):
 def test_bound_exceeded_exit_2():
     assert run(["gen-basis", "--algebra", "brauer", "--n", "9"]) == 2
     assert run(["dims", "--algebra", "tl", "--n", "40"]) == 2
+    assert run(["verify", "--algebra", "bmw", "--n", "5"]) == 2
 
 
 def test_usage_error_exit_2():
