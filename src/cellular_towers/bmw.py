@@ -307,11 +307,11 @@ class _Enumeration:
     def _prefix_image(self, memo, word):
         img = memo.get(word)
         if img is None:
-            img = self.act(self._prefix_image(memo, word[:-1]), word[-1], True)
+            img = self._act(self._prefix_image(memo, word[:-1]), word[-1], True)
             memo[word] = img
         return img
 
-    def norm(self, vec):
+    def _norm(self, vec):
         """vec with every eliminated vector substituted away."""
         elim = self.elim
         dead = [k for k in vec if k in elim]
@@ -327,7 +327,7 @@ class _Enumeration:
             dead = [k for k in out if k in elim]
         return out
 
-    def act(self, vec, token, define=False):
+    def _act(self, vec, token, define=False):
         """The image of a combination of live vectors under a token; a
         missing image becomes a new vector only when define is set."""
         out = {}
@@ -339,23 +339,23 @@ class _Enumeration:
                     raise InternalInvariantError(f"image of vector {u} under {token} undefined")
                 img = row[token] = {self._new(): F_ONE}
             else:
-                normed = self.norm(img)
+                normed = self._norm(img)
                 if normed is not img:
                     img = row[token] = normed
             for w, x in img.items():
                 _acc(out, w, c * x)
         return out
 
-    def apply(self, vec, word):
+    def _apply(self, vec, word):
         for t in word:
-            vec = self.act(vec, t)
+            vec = self._act(vec, t)
         return vec
 
     def _coincide(self, vec):
         """Quotient by vec = 0 and by every consequence it forces."""
         queue = [vec]
         while queue:
-            vec = self.norm(queue.pop())
+            vec = self._norm(queue.pop())
             if not vec:
                 continue
             h = max(vec)
@@ -365,7 +365,7 @@ class _Enumeration:
             row = self.table[h]
             self.table[h] = None
             for t, img in row.items():
-                diff = self.act(combo, t, True)
+                diff = self._act(combo, t, True)
                 for k, c in img.items():
                     _acc(diff, k, -c)
                 queue.append(diff)
@@ -398,11 +398,11 @@ class _Model:
             raise InternalInvariantError(
                 f"enumerated dimension {enum.dim} != {dim} at rank {n}"
             )
-        b0 = enum.norm({0: F_ONE})
+        b0 = enum._norm({0: F_ONE})
         coords = SpanSolver()
         images = []
         for d in self.keys:
-            img = enum.apply(b0, self.words[d])
+            img = enum._apply(b0, self.words[d])
             if coords.insert(img)[0] != "new":
                 raise InternalInvariantError(
                     f"canonical lift of {d} is dependent at rank {n}"
@@ -410,10 +410,10 @@ class _Model:
             images.append(img)
         self._coords = coords
         self.rho = {
-            t: [self._express(enum.act(img, t)) for img in images] for t in self.tokens
+            t: [self._express(enum._act(img, t)) for img in images] for t in self.tokens
         }
         self.star_rows = [
-            self._express(enum.apply(b0, reversed(self.words[d]))) for d in self.keys
+            self._express(enum._apply(b0, reversed(self.words[d]))) for d in self.keys
         ]
 
     def _express(self, vec):
