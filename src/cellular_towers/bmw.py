@@ -398,7 +398,7 @@ class _Model:
             raise InternalInvariantError(
                 f"enumerated dimension {enum.dim} != {dim} at rank {n}"
             )
-        b0 = enum._norm({0: F_ONE})
+        b0 = {0: F_ONE}  # never eliminated in a module of positive dimension
         coords = SpanSolver()
         images = []
         for d in self.keys:
