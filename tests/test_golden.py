@@ -2,11 +2,17 @@
 machines (the deterministic-ordering contract)."""
 
 import hashlib
+import json
 import pathlib
 
 import pytest
 
 from cellular_towers import cli
+from cellular_towers.framework import (
+    cellular_basis,
+    restriction_filtration_a,
+    verify_cell_datum,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -55,3 +61,61 @@ def test_gen_basis_digest(algebra, level, digest, tmp_path):
     argv = ["gen-basis", "--algebra", algebra, "--n", str(level), "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of JSON dumps (insertion order kept) of what a failed or passed
+# certificate reports, recorded before the cell-module readers shared one
+# row reader; the same under PYTHONHASHSEED 0 and 123.  The counterexample
+# lists are the only observable output of a failed verdict.
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+PERTURBED_DIGESTS = [
+    ("brauer", 2, 7, "6fcbb752d566c6d1e4275009c46f32701be33587bb913c0277628a8b9e166a64"),
+    ("tl", 3, 6, "8bdc790162f89959de3f8b8e323fa1b6ead4b4ac3523f382319fba30a9180bfe"),
+    ("hecke", 3, 13, "513cdf84953d72a235bd2d387ba7fb522556b5b9121bac056de792a7d4687f75"),
+    ("partition", 3, 6, "f1a82b9f0625a9ba63006de506f9fb23c7dda7764cb4c30d03ea3c1e59fa5c55"),
+    ("bmw", 2, 9, "272650e83172cee96253fdc1805e15c8176160a2d930611e2960511074bfbc5e"),
+]
+
+
+@pytest.mark.parametrize(
+    "algebra,level,count,digest",
+    PERTURBED_DIGESTS,
+    ids=[f"{a}_{n}" for a, n, _, _ in PERTURBED_DIGESTS],
+)
+def test_perturbed_counterexamples_digest(algebra, level, count, digest):
+    # the criterion-10 perturbation: the first key outside the lowest cell
+    # gains that cell's (vertex, 0, 0) element
+    datum = cellular_basis(algebra, level)
+    low = datum.vertices[-1]
+    key = next(k for k in datum.index if k[0] != low)
+    bad = datum.t.add(datum.elements[key], datum.elements[(low, 0, 0)])
+    rep = verify_cell_datum(datum.replaced(key, bad))
+    assert len(rep["counterexamples"]) == count
+    pinned = {"checks": rep["checks"], "counterexamples": rep["counterexamples"]}
+    assert _digest(pinned) == digest
+
+
+FILTRATION_DIGESTS = [
+    ("brauer", 3, "08acb229b233cea4c4393ee43f26be976c11df1950b55ea2696cfb1800f54cc7"),
+    ("tl", 4, "b425aa503ac0722a985f3fcb05e101c3cc83fcfa2f9511fb683a7cd1c4b2c832"),
+    ("partition", 4, "689b57dbd26178f186b22e705e76aa36b6930c1fc2b1f2544e35fe409a8b2217"),
+    ("bmw", 3, "9fdf128d531730822ad6b375edb6add6534f65afbe67be76b7d71185e5fcd60c"),
+    ("hecke", 4, "bbf125823dfa4e68fb28e01df819c892e38a5ed1397ac0d60df3e11c4219b0ec"),
+]
+
+
+@pytest.mark.parametrize(
+    "algebra,level,digest",
+    FILTRATION_DIGESTS,
+    ids=[f"{a}_{n}" for a, n, _ in FILTRATION_DIGESTS],
+)
+def test_restriction_filtration_digest(algebra, level, digest):
+    reports = [
+        restriction_filtration_a(algebra, v, level)
+        for v in cellular_basis(algebra, level).vertices
+    ]
+    assert all(r["pass"] for r in reports)
+    assert _digest(reports) == digest
