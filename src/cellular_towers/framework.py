@@ -242,6 +242,31 @@ class CellDatum:
     def cell_element(self, vertex, si, ti):
         return self.elements[(vertex, si, ti)]
 
+    def cell_row(self, vertex, si, ti, a):
+        """Row si of c_(si,ti) a in the cell of `vertex`, and its leaks.
+
+        Returns (row, leaks). `row` maps each tj to the coefficient of the
+        basis element (vertex, si, tj), i.e. r_tj(ti, a) of the cell module.
+        `leaks` lists, in coordinate order, ("row", sj, tj) for support on
+        another row of the same cell and ("cell", w) for support on a cell w
+        not strictly above `vertex`; a cellular basis has none.  When the
+        product lies outside the span, row is None (and leaks empty).
+        """
+        coords = self.express(self.t.mul(self.elements[(vertex, si, ti)], a))
+        if coords is None:
+            return None, []
+        row = {}
+        leaks = []
+        for (w, sj, tj), c in coords.items():
+            if w == vertex:
+                if sj == si:
+                    row[tj] = c
+                else:
+                    leaks.append(("row", sj, tj))
+            elif not vertex_gt(w, vertex):
+                leaks.append(("cell", w))
+        return row, leaks
+
     def to_json(self):
         t = self.t
         return {
@@ -340,41 +365,17 @@ def verify_cell_datum(datum, generators=None):
             for ti in range(npaths):
                 reference = None
                 for si in range(npaths):
-                    prod = t.mul(datum.cell_element(v, si, ti), a)
-                    coords = datum.express(prod)
-                    if coords is None:
+                    row, leaks = datum.cell_row(v, si, ti, a)
+                    if row is None:
                         fail("action", {"vertex": v, "s": si, "t": ti, "gen": label})
                         action_ok = False
                         continue
-                    row = {}
-                    for (w, sj, tj), c in coords.items():
-                        if w == v:
-                            if sj != si:
-                                fail(
-                                    "action",
-                                    {
-                                        "vertex": v,
-                                        "s": si,
-                                        "t": ti,
-                                        "gen": label,
-                                        "leak": ("row", sj, tj),
-                                    },
-                                )
-                                action_ok = False
-                            else:
-                                row[tj] = c
-                        elif not vertex_gt(w, v):
-                            fail(
-                                "action",
-                                {
-                                    "vertex": v,
-                                    "s": si,
-                                    "t": ti,
-                                    "gen": label,
-                                    "leak": ("cell", w),
-                                },
-                            )
-                            action_ok = False
+                    for leak in leaks:
+                        fail(
+                            "action",
+                            {"vertex": v, "s": si, "t": ti, "gen": label, "leak": leak},
+                        )
+                        action_ok = False
                     if reference is None:
                         reference = row
                     elif row != reference:
@@ -589,28 +590,15 @@ def restriction_filtration_a(tower_name, vertex, n):
     paths = datum.paths[vertex]
     layer_of = [preds.index(p[n - 1]) for p in paths]
     gens = [
-        (label, t.include(a, n - 1, n)) for label, a in tower(tower_name).generators(n - 1)
+        (label, t.include(a, n - 1, n)) for label, a in t.generators(n - 1)
     ]
-    # action of A_{n-1} on the cell module at `vertex` (s fixed to path 0)
-    action = {}
-    for label, a in gens:
-        rows = []
-        for ti in range(len(paths)):
-            prod = t.mul(datum.cell_element(vertex, 0, ti), a)
-            coords = datum.express(prod)
-            row = {}
-            ok = coords is not None
-            if ok:
-                for (w, sj, tj), c in coords.items():
-                    if w == vertex and sj == 0:
-                        row[tj] = c
-                    elif not vertex_gt(w, vertex):
-                        ok = False
-            if not ok:
-                return {"pass": False, "reason": "action left the cell ideal"}
-            rows.append(row)
-        action[label] = rows
-
+    datum_prev = cellular_basis(tower_name, n - 1)
+    # actions of A_{n-1} on the cell module at `vertex` and on those of its
+    # predecessors (s fixed to path 0)
+    action = _action_rows(datum, vertex, gens)
+    prev_actions = [_action_rows(datum_prev, u, t.generators(n - 1)) for u in preds]
+    if action is None or None in prev_actions:
+        return {"pass": False, "reason": "action left the cell ideal"}
     report = {
         "algebra": tower_name,
         "vertex": vertex,
@@ -623,7 +611,6 @@ def restriction_filtration_a(tower_name, vertex, n):
         ),
         "frobenius_symmetric": True,
     }
-    datum_prev = cellular_basis(tower_name, n - 1)
     for j, u in enumerate(preds):
         members = [ti for ti in range(len(paths)) if layer_of[ti] == j]
         allowed = {ti for ti in range(len(paths)) if layer_of[ti] <= j}
@@ -637,21 +624,13 @@ def restriction_filtration_a(tower_name, vertex, n):
         for ti in members:
             prefix_index[ti] = prev_paths.index(paths[ti][:n])
         match = len(members) == len(prev_paths)
-        for label, a_small in tower(tower_name).generators(n - 1):
-            prev_rows = []
-            for pi_ in range(len(prev_paths)):
-                prod = t.mul(datum_prev.cell_element(u, 0, pi_), a_small)
-                coords = datum_prev.express(prod)
-                row = {}
-                for (w, sj, tj), c in coords.items():
-                    if w == u and sj == 0:
-                        row[tj] = c
-                prev_rows.append(row)
+        for label, _ in gens:
+            prev_rows = prev_actions[j][label]
             for ti in members:
                 got = {
                     prefix_index[tj]: c
                     for tj, c in action[label][ti].items()
-                    if layer_of.__getitem__(tj) == j
+                    if layer_of[tj] == j
                 }
                 want = prev_rows[prefix_index[ti]]
                 if got != want:
@@ -669,6 +648,21 @@ def restriction_filtration_a(tower_name, vertex, n):
         and report["frobenius_symmetric"]
     )
     return report
+
+
+def _action_rows(datum, vertex, gens):
+    """{label: [row of c_(0,ti) a, for each ti]} on the cell module at
+    `vertex`, or None when a product leaves the cell ideal."""
+    action = {}
+    for label, a in gens:
+        rows = []
+        for ti in range(len(datum.paths[vertex])):
+            row, leaks = datum.cell_row(vertex, 0, ti, a)
+            if row is None or leaks:
+                return None
+            rows.append(row)
+        action[label] = rows
+    return action
 
 
 # ---------------------------------------------------------------------------

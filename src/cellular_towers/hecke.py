@@ -18,7 +18,6 @@ from functools import cache
 
 from .coeff import Q, QV, LaurentFraction, LaurentPoly, RationalFunction, specialize
 from .combinatorics import (
-    dominance_geq,
     garnir_tableau,
     partitions_of,
     path_to_tableau,
@@ -500,25 +499,24 @@ def murphy_support_shapes(x):
 def cell_action(lam, n, i):
     """Action matrix of T_i on the cell module of shape lam.
 
-    Returns {t: {v: r_v(t, T_i)}} read off from express_in_murphy of
-    m^lam_{t^lam, t} T_i; raises if any coordinate violates cellularity
-    (support outside the lam cell must sit strictly higher in dominance).
+    Returns {t: {v: r_v(t, T_i)}}: the rows `CellDatum.cell_row` reads off
+    the Hecke cell datum for m^lam_{t^lam, t} T_i, relabelled by tableaux;
+    raises if any coordinate violates cellularity (support on another row
+    of the lam cell, or on a shape not strictly dominating lam).
     """
-    tabs = standard_tableaux(lam)
-    tsup = superstandard_tableau(lam)
+    datum = _datum(n)
+    labels = _tableau_labels(n)
+    v = (lam, 0)
+    npaths = len(datum.paths[v])
+    tab = [labels[(v, 0, ti)][2] for ti in range(npaths)]
+    s0 = tab.index(superstandard_tableau(lam))
+    gen = HeckeElement.t_gen(n, i)
     rows = {}
-    for t in tabs:
-        el = murphy_element(lam, tsup, t, n).times_gen(i)
-        coords = express_in_murphy(el)
-        row = {}
-        for (mu, s, v), c in coords.items():
-            if mu == lam:
-                if s != tsup:
-                    raise InternalInvariantError("cell action leaked across rows")
-                row[v] = c
-            elif not (dominance_geq(mu, lam) and mu != lam):
-                raise InternalInvariantError("cell action left the dominance ideal")
-        rows[t] = row
+    for ti in range(npaths):
+        row, leaks = datum.cell_row(v, s0, ti, gen)
+        if row is None or leaks:
+            raise InternalInvariantError(f"cell action left the cell ideal: {leaks}")
+        rows[tab[ti]] = {tab[tj]: c for tj, c in row.items()}
     return rows
 
 
