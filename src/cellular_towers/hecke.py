@@ -562,11 +562,18 @@ def semistandard_basis_element(S, t, mu, n=None):
 
 
 def permutation_module_report(mu, n=None):
-    """Murphy's permutation-module theorem as rank certificates.
+    """Murphy's permutation-module theorem as exact certificates.
 
-    Checks that the m_{S t} span m_mu H_n freely, that the dominance-ordered
-    partial spans M_i are H_n-stable, and that each subquotient carries the
-    cell-module action through m_{S_j t} + M_{j-1} -> m^{lam(j)}_t.
+    Checks that the m_{S t} are free, that they span m_mu H_n, that the
+    dominance-ordered partial spans M_i are H_n-stable, and that each
+    subquotient carries the cell-module action through
+    m_{S_j t} + M_{j-1} -> m^{lam(j)}_t.
+
+    The span certificate: expressing every m_{S t} T_i over the family shows
+    its span is T_i-closed, so with m_mu inside it, m_mu H_n lies inside too.
+    The m_mu T_d, d a distinguished right coset representative of S_mu, lie
+    in m_mu H_n; as many independent ones as the family has members make the
+    two spans equal.
     """
     from .towers import tower  # towers imports this module
 
@@ -590,19 +597,6 @@ def permutation_module_report(mu, n=None):
         if status != "new":
             return {"free": False}
         key_index.append((j, lam, t))
-    # rank of m_mu H_n by closure
-    module = SpanSolver(pivot_key=pivot_key)
-    mmu = m_lambda(mu, n)
-    queue = [mmu]
-    module.insert(_vector(mmu))
-    while queue:
-        el = queue.pop()
-        for i in range(1, n):
-            nxt = el.times_gen(i)
-            status, _ = module.insert(_vector(nxt))
-            if status == "new":
-                queue.append(nxt)
-    free_rank_matches = module.rank == len(basis)
     # stability of M_i and the subquotient isomorphisms in one pass:
     # expanding m_{S_j t} T_i over the family must stay within layers <= j,
     # and the layer-j coefficients must equal the cell-module action
@@ -616,7 +610,7 @@ def permutation_module_report(mu, n=None):
         for i in range(1, n):
             coords = solver.express(_vector(el.times_gen(i)))
             if coords is None:
-                return {"free": True, "module_rank_matches": free_rank_matches,
+                return {"free": True, "module_rank_matches": False,
                         "filtration_stable": False, "subquotients_match": False}
             got = {}
             for idx, c in coords.items():
@@ -627,10 +621,29 @@ def permutation_module_report(mu, n=None):
                     got[t2] = c
             if got != actions[lam][i][t]:
                 subquotients_match = False
+    # the span is T_i-closed; compare it with m_mu H_n
+    mmu = m_lambda(mu, n)
+    inner, start = [], 0  # positions k with k+1, k+2 in one block of mu
+    for p in mu:
+        inner.extend(range(start, start + p - 1))
+        start += p
+    reps = [
+        d for d in itertools.permutations(range(1, n + 1))
+        if all(d[k] < d[k + 1] for k in inner)
+    ]
+    cosets = SpanSolver(pivot_key=pivot_key)
+    module_rank_matches = (
+        solver.express(_vector(mmu)) is not None
+        and len(reps) == len(basis)
+        and all(
+            cosets.insert(_vector(mmu.times_word(reduced_word(d))))[0] == "new"
+            for d in reps
+        )
+    )
     return {
         "free": True,
         "rank": len(basis),
-        "module_rank_matches": free_rank_matches,
+        "module_rank_matches": module_rank_matches,
         "filtration_stable": stable,
         "subquotients_match": subquotients_match,
         "layers": [(lam, S) for lam, S in layers],

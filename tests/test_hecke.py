@@ -340,13 +340,26 @@ def test_semistandard_basis_element():
 
 
 def test_permutation_module_murphy_theorem():
-    for n in range(1, 4):
+    for n in range(1, 6):
         for mu in partitions_of(n):
             rep = permutation_module_report(mu, n)
             assert rep["free"]
             assert rep["module_rank_matches"]
             assert rep["filtration_stable"]
             assert rep["subquotients_match"]
+
+
+def test_permutation_module_span_is_compared(monkeypatch):
+    # q.1 - T_1 spans the other T_1-stable line of H_2: a free, T_1-closed
+    # family with as many members as m_(2) H_2 has dimensions, but another
+    # span, so the module certificate must fail
+    import cellular_towers.hecke as hecke
+
+    other = HeckeElement.one(2).scale(QP) - HeckeElement.t_gen(2, 1)
+    monkeypatch.setattr(hecke, "semistandard_basis_element", lambda *args: other)
+    rep = permutation_module_report((2,), 2)
+    assert rep["free"] and rep["filtration_stable"]
+    assert not rep["module_rank_matches"]
 
 
 def test_symmetric_group_specialization():
