@@ -108,6 +108,38 @@ class _DiagramTowerBase(_TowerBase):
         of = LaurentFraction.of
         return {d: of(c, DV) for d, c in x.coeffs.items()}
 
+    def element_of_key(self, key, n):
+        return DiagramElement.from_diagram(key)
+
+    def _perm(self, w):
+        return DiagramElement.from_diagram(self.diagram_cls.from_permutation(w))
+
+    def c_lift(self, lam, n):
+        """The sum of the permutation diagrams of the Young subgroup S_lam."""
+        s = self.strands(n)
+        out = DiagramElement(s)
+        for v in young_subgroup(lam, s):
+            out = out + self._perm(v)
+        return out
+
+    def dbar(self, lam, mu, i, n):
+        """s_{a,i} as a permutation diagram in level n."""
+        j = added_node(lam, mu)[0]
+        a = sum(mu[:j])
+        return self._perm(_s_range(a, i, self.strands(n)))
+
+    def ubar(self, lam, mu, i, n):
+        """s_{i,a} sum_{r=0..lam_j} s_{a,a-r} as permutation diagrams."""
+        s = self.strands(n)
+        j = added_node(lam, mu)[0]
+        a = sum(mu[:j])
+        lam_j = lam[j - 1] if j <= len(lam) else 0
+        left = self._perm(_s_range(i, a, s))
+        acc = DiagramElement(s)
+        for r in range(lam_j + 1):
+            acc = acc + self._perm(_s_range(a, a - r, s))
+        return left * acc
+
 
 class BrauerTower(_DiagramTowerBase):
     name = "brauer"
@@ -124,9 +156,6 @@ class BrauerTower(_DiagramTowerBase):
     def basis_keys(self, n):
         return brauer_basis(n)
 
-    def element_of_key(self, key, n):
-        return DiagramElement.from_diagram(key)
-
     def e_elt(self, i, n):
         return DiagramElement.from_diagram(BrauerDiagram.e(i, n))
 
@@ -139,34 +168,6 @@ class BrauerTower(_DiagramTowerBase):
 
     def h_diagram(self, depth):
         return young_lattice(depth)
-
-    def c_lift(self, lam, n):
-        out = DiagramElement(n)
-        for v in young_subgroup(lam, n):
-            out = out + DiagramElement.from_diagram(BrauerDiagram.from_permutation(v))
-        return out
-
-    def dbar(self, lam, mu, i, n):
-        """s_{a,i} as a permutation diagram in level n."""
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        w = _s_range(a, i, n)
-        return DiagramElement.from_diagram(BrauerDiagram.from_permutation(w))
-
-    def ubar(self, lam, mu, i, n):
-        """s_{i,a} sum_{r=0..lam_j} s_{a,a-r} as permutation diagrams."""
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        lam_j = lam[j - 1] if j <= len(lam) else 0
-        left = DiagramElement.from_diagram(
-            BrauerDiagram.from_permutation(_s_range(i, a, n))
-        )
-        acc = DiagramElement(n)
-        for r in range(lam_j + 1):
-            acc = acc + DiagramElement.from_diagram(
-                BrauerDiagram.from_permutation(_s_range(a, a - r, n))
-            )
-        return left * acc
 
     def pi(self, x, n):
         return quotient_to_symmetric(x)
@@ -186,9 +187,6 @@ class TemperleyLiebTower(_DiagramTowerBase):
 
     def basis_keys(self, n):
         return tl_basis(n)
-
-    def element_of_key(self, key, n):
-        return DiagramElement.from_diagram(key)
 
     def e_elt(self, i, n):
         return DiagramElement.from_diagram(BrauerDiagram.e(i, n))
@@ -239,12 +237,6 @@ class PartitionTower(_DiagramTowerBase):
             return partition_basis(n // 2)
         return half_level_basis((n + 1) // 2)
 
-    def element_of_key(self, key, n):
-        return DiagramElement.from_diagram(key)
-
-    def one(self, n):
-        return DiagramElement.one(self.strands(n), SetPartitionDiagram)
-
     def e_elt(self, i, n):
         s = self.strands(n)
         if i % 2 == 1:  # e_{2k-1} = p_k
@@ -264,43 +256,22 @@ class PartitionTower(_DiagramTowerBase):
     def h_diagram(self, depth):
         return partition_half_levels(depth)
 
-    def c_lift(self, lam, n):
-        s = self.strands(n)
-        out = DiagramElement(s)
-        for v in young_subgroup(lam, s):
-            out = out + DiagramElement.from_diagram(SetPartitionDiagram.from_permutation(v))
-        return out
-
     def dbar(self, lam, mu, i, n):
-        """Level-i H-branching lift, included into level n."""
-        s = self.strands(n)
-        if i % 2 == 1:  # odd step: lam = mu, coefficient 1
-            if lam != mu:
-                raise DomainError("odd-level H edges repeat the partition")
-            return self.one(n)
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        w = _s_range(a, i // 2, s)
-        return DiagramElement.from_diagram(SetPartitionDiagram.from_permutation(w))
+        """Level-i H-branching lift, included into level n: 1 on an odd
+        step, else the symmetric-group lift on i // 2 strands."""
+        if i % 2 == 1:
+            return self._odd_step(lam, mu, n)
+        return super().dbar(lam, mu, i // 2, n)
 
     def ubar(self, lam, mu, i, n):
-        s = self.strands(n)
         if i % 2 == 1:
-            if lam != mu:
-                raise DomainError("odd-level H edges repeat the partition")
-            return self.one(n)
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        lam_j = lam[j - 1] if j <= len(lam) else 0
-        left = DiagramElement.from_diagram(
-            SetPartitionDiagram.from_permutation(_s_range(i // 2, a, s))
-        )
-        acc = DiagramElement(s)
-        for r in range(lam_j + 1):
-            acc = acc + DiagramElement.from_diagram(
-                SetPartitionDiagram.from_permutation(_s_range(a, a - r, s))
-            )
-        return left * acc
+            return self._odd_step(lam, mu, n)
+        return super().ubar(lam, mu, i // 2, n)
+
+    def _odd_step(self, lam, mu, n):
+        if lam != mu:
+            raise DomainError("odd-level H edges repeat the partition")
+        return self.one(n)
 
     def pi(self, x, n):
         g = quotient_to_symmetric(x)
