@@ -184,6 +184,19 @@ def test_defining_relations_via_model():
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_perturbed_action_fails_relations(n):
+    # a fresh model (not the cached one) with 1 added to one coefficient of
+    # the g_1 action matrix must fail the relation certificate
+    m = _Model(n)
+    rows = [dict(r) for r in m.rho[1]]
+    k = next(iter(rows[0]))
+    rows[0][k] = rows[0][k] + F_ONE
+    m.rho = {**m.rho, 1: rows}
+    m.relations_ok = None
+    assert not m.check_relations()
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_enumerated_model_matches_reference(n):
     rho, star_rows = reference_model(n)
     m = bmw_model(n)
