@@ -8,7 +8,10 @@ specialization onto the group algebra.
 The Murphy basis is the Hecke tower's cell datum: the path basis
 d_s* m_lambda d_t of `framework.cellular_basis("hecke", n)`, labelled by
 tableaux. Straightening is always done by that datum's linear solve; no
-rewriting mod the ideal is ever trusted.
+rewriting mod the ideal is ever trusted. Cell-module actions are the rows
+`CellDatum.cell_row` reads off that datum, and the permutation-module
+report proves that the semistandard family spans m_mu H_n by comparing it
+with the m_mu T_d over distinguished coset representatives d.
 """
 
 from __future__ import annotations
@@ -621,15 +624,13 @@ def permutation_module_report(mu, n=None):
                     got[t2] = c
             if got != actions[lam][i][t]:
                 subquotients_match = False
-    # the span is T_i-closed; compare it with m_mu H_n
+    # the span is T_i-closed; compare it with m_mu H_n.  The d are the
+    # permutations increasing on each block of mu (k + 1 not a block end).
     mmu = m_lambda(mu, n)
-    inner, start = [], 0  # positions k with k+1, k+2 in one block of mu
-    for p in mu:
-        inner.extend(range(start, start + p - 1))
-        start += p
+    ends = set(itertools.accumulate(mu))
     reps = [
         d for d in itertools.permutations(range(1, n + 1))
-        if all(d[k] < d[k + 1] for k in inner)
+        if all(d[k] < d[k + 1] for k in range(n - 1) if k + 1 not in ends)
     ]
     cosets = SpanSolver(pivot_key=pivot_key)
     module_rank_matches = (
