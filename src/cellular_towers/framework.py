@@ -589,9 +589,7 @@ def restriction_filtration_a(tower_name, vertex, n):
     preds = diag.predecessors(n, vertex)
     paths = datum.paths[vertex]
     layer_of = [preds.index(p[n - 1]) for p in paths]
-    gens = [
-        (label, t.include(a, n - 1, n)) for label, a in t.generators(n - 1)
-    ]
+    gens = [(label, t.include(a, n - 1, n)) for label, a in t.generators(n - 1)]
     datum_prev = cellular_basis(tower_name, n - 1)
     # actions of A_{n-1} on the cell module at `vertex` and on those of its
     # predecessors (s fixed to path 0)
