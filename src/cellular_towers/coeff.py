@@ -530,6 +530,17 @@ def divexact(a, b):
                 raise CoefficientRingError(f"{a} not divisible by {b}")
             out[tuple(x + y for x, y in zip(e, nexp))] = q
         return LaurentPoly._raw(a.vars, out)
+    if not a.terms:
+        return a
+    # Quotient exponents come out in strictly decreasing lex order, and an
+    # exact quotient's lowest is lexmin(a) - lexmin(b); in each variable its
+    # exponents lie between the differences of the minimum and of the
+    # maximum exponents of a and b (Newton polytopes add).  Leaving these
+    # bounds proves the division inexact, and the box makes the loop finite
+    # in several variables.  It is built only for a second quotient term:
+    # most quotients have one.
+    lowest = tuple(x - y for x, y in zip(min(a.terms), min(b.terms)))
+    box = None
     rem = a
     quot = {}
     lb = b.lead_exp()
@@ -538,7 +549,12 @@ def divexact(a, b):
         la = rem.lead_exp()
         q, r = divmod(rem.terms[la], cb)
         e = tuple(x - y for x, y in zip(la, lb))
-        if r:
+        if quot and box is None:
+            box = list(zip(
+                (x - y for x, y in zip(a.min_exponents(), b.min_exponents())),
+                (x - y for x, y in zip(a.max_exponents(), b.max_exponents())),
+            ))
+        if r or e < lowest or (box and any(not lo <= x <= hi for x, (lo, hi) in zip(e, box))):
             raise CoefficientRingError(f"{a} not divisible by {b}")
         quot[e] = quot.get(e, 0) + q
         rem = LaurentPoly._raw(

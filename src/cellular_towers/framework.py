@@ -334,6 +334,27 @@ def verify_cell_datum(datum, generators=None):
     (c-star)    c_(lambda,l)* = c_(lambda,l) modulo larger cells;
     (cyclic)    c_(lambda,l) A_n has rank #paths modulo larger cells.
 
+    The generators must generate A_n as an algebra (the cyclic check and
+    the row certificate below both rest on it).
+
+    Action and ideal are first certified once per cell-module row.  With
+    c_v = c_(lambda,l), L_s = d_s* c_v, R_t = c_v d_t, and I_{>v} (I_{>=v})
+    the span of the cells strictly above v (and v's own), at every vertex:
+      1. (identity) each basis element c_st equals L_s d_t, as elements;
+      2. (rows)     each R_u expresses into cells >= v, and the projections
+                    of the R_u on v's cell are independent;
+      3. (action)   each R_t a, a a generator, expresses into cells >= v, and
+                    its projection on v's cell lies in the span of step 2;
+      4. (ideal)    each a L_s expresses into cells >= v.
+    Soundness, by downward induction on the cell poset: if I_{>=w} is a
+    two-sided ideal for every w > v, so is their sum I_{>v}.  Steps 2-3 give
+    R_t a = sum_u r_u R_u mod I_{>v}, so c_st a = d_s* R_t a =
+    sum_u r_u c_su mod I_{>v} (I_{>v} a left ideal), with r independent of
+    s; hence I_{>=v} is a right ideal.  Then a c_st = (a L_s) d_t lies in
+    I_{>=v} by step 4, so I_{>=v} is two-sided.  Freeness makes coordinates
+    unique, so the per-element loops would find nothing.  If any step fails
+    at any vertex, those loops run and report the counterexamples.
+
     Returns a report dict; failures carry located counterexamples.
     """
     t = datum.t
@@ -357,6 +378,106 @@ def verify_cell_datum(datum, generators=None):
         report["pass"] = False
         return report
 
+    cells = {v: c_lambda_l(datum.tower_name, v, n) for v in datum.vertices}
+    if all(_rows_certify(datum, v, cv, generators) for v, cv in cells.items()):
+        action_ok = ideal_ok = True
+    else:
+        action_ok, ideal_ok = _element_loops(datum, generators, fail)
+    report["checks"]["action"] = action_ok
+    report["checks"]["ideal"] = ideal_ok
+
+    star_ok = True
+    for v in datum.vertices:
+        npaths = len(datum.paths[v])
+        for si in range(npaths):
+            for ti in range(npaths):
+                delta = t.add(
+                    t.star(datum.cell_element(v, si, ti)),
+                    t.scale(datum.cell_element(v, ti, si), -1),
+                )
+                coords = datum.express(delta)
+                if coords is None or any(not vertex_gt(w, v) for (w, _, _) in coords):
+                    fail("star", {"vertex": v, "s": si, "t": ti})
+                    star_ok = False
+    report["checks"]["star"] = star_ok
+
+    cstar_ok = True
+    cyclic_ok = True
+    for v, cv in cells.items():
+        delta = t.add(t.star(cv), t.scale(cv, -1))
+        coords = datum.express(delta)
+        if coords is None or any(not vertex_gt(w, v) for (w, _, _) in coords):
+            fail("c_star", {"vertex": v})
+            cstar_ok = False
+        # rank of c_v A_n modulo the larger cells
+        span = SpanSolver()
+        queue = [cv]
+        seen_rank = 0
+        coords0 = datum.express(cv)
+        if coords0 is None:
+            fail("cyclic", {"vertex": v})
+            cyclic_ok = False
+            continue
+        span.insert(_project_cell(coords0, v))
+        while queue:
+            x = queue.pop()
+            for label, a in generators:
+                y = t.mul(x, a)
+                cy = datum.express(y)
+                if cy is None:
+                    fail("cyclic", {"vertex": v, "gen": label})
+                    cyclic_ok = False
+                    continue
+                status, _ = span.insert(_project_cell(cy, v))
+                if status == "new":
+                    queue.append(y)
+        if span.rank != len(datum.paths[v]):
+            fail("cyclic", {"vertex": v, "rank": span.rank, "paths": len(datum.paths[v])})
+            cyclic_ok = False
+    report["checks"]["c_star"] = cstar_ok
+    report["checks"]["cyclic"] = cyclic_ok
+    report["pass"] = all(report["checks"].values())
+    return report
+
+
+def _rows_certify(datum, v, cv, generators):
+    """Steps 1-4 of verify_cell_datum's row certificate at vertex v."""
+    t = datum.t
+    d_elts = [path_element(datum.tower_name, p) for p in datum.paths[v]]
+    lefts = [t.mul(t.star(ds), cv) for ds in d_elts]
+    for si, left in enumerate(lefts):
+        for ti, dt in enumerate(d_elts):
+            if datum.elements[(v, si, ti)] != t.mul(left, dt):
+                return False
+
+    def cell_part(x):
+        """x's coordinates on v's cell; None if x leaves the cells >= v."""
+        coords = datum.express(x)
+        if coords is None or any(not (w == v or vertex_gt(w, v)) for w, _, _ in coords):
+            return None
+        return _project_cell(coords, v)
+
+    rights = [t.mul(cv, dt) for dt in d_elts]
+    rows = SpanSolver()
+    for right in rights:
+        part = cell_part(right)
+        if part is None or rows.insert(part)[0] != "new":
+            return False
+    for _, a in generators:
+        for right in rights:
+            part = cell_part(t.mul(right, a))
+            if part is None or not rows.contains(part):
+                return False
+        for left in lefts:
+            if cell_part(t.mul(a, left)) is None:
+                return False
+    return True
+
+
+def _element_loops(datum, generators, fail):
+    """The action and ideal checks on every basis element and generator,
+    reporting each counterexample through `fail`; (action_ok, ideal_ok)."""
+    t = datum.t
     action_ok = True
     ideal_ok = True
     for v in datum.vertices:
@@ -397,62 +518,7 @@ def verify_cell_datum(datum, generators=None):
                             {"vertex": v, "s": si, "t": ti, "gen": label, "side": "left"},
                         )
                         ideal_ok = False
-    report["checks"]["action"] = action_ok
-    report["checks"]["ideal"] = ideal_ok
-
-    star_ok = True
-    for v in datum.vertices:
-        npaths = len(datum.paths[v])
-        for si in range(npaths):
-            for ti in range(npaths):
-                delta = t.add(
-                    t.star(datum.cell_element(v, si, ti)),
-                    t.scale(datum.cell_element(v, ti, si), -1),
-                )
-                coords = datum.express(delta)
-                if coords is None or any(not vertex_gt(w, v) for (w, _, _) in coords):
-                    fail("star", {"vertex": v, "s": si, "t": ti})
-                    star_ok = False
-    report["checks"]["star"] = star_ok
-
-    cstar_ok = True
-    cyclic_ok = True
-    for v in datum.vertices:
-        cv = c_lambda_l(datum.tower_name, v, n)
-        delta = t.add(t.star(cv), t.scale(cv, -1))
-        coords = datum.express(delta)
-        if coords is None or any(not vertex_gt(w, v) for (w, _, _) in coords):
-            fail("c_star", {"vertex": v})
-            cstar_ok = False
-        # rank of c_v A_n modulo the larger cells
-        span = SpanSolver()
-        queue = [cv]
-        seen_rank = 0
-        coords0 = datum.express(cv)
-        if coords0 is None:
-            fail("cyclic", {"vertex": v})
-            cyclic_ok = False
-            continue
-        span.insert(_project_cell(coords0, v))
-        while queue:
-            x = queue.pop()
-            for label, a in generators:
-                y = t.mul(x, a)
-                cy = datum.express(y)
-                if cy is None:
-                    fail("cyclic", {"vertex": v, "gen": label})
-                    cyclic_ok = False
-                    continue
-                status, _ = span.insert(_project_cell(cy, v))
-                if status == "new":
-                    queue.append(y)
-        if span.rank != len(datum.paths[v]):
-            fail("cyclic", {"vertex": v, "rank": span.rank, "paths": len(datum.paths[v])})
-            cyclic_ok = False
-    report["checks"]["c_star"] = cstar_ok
-    report["checks"]["cyclic"] = cyclic_ok
-    report["pass"] = all(report["checks"].values())
-    return report
+    return action_ok, ideal_ok
 
 
 def _project_cell(coords, v):

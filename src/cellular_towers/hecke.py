@@ -529,7 +529,8 @@ def restriction_filtration(lam, n=None):
     The certificate of `framework.restriction_filtration_a` at the vertex
     (lam, 0), with each layer's partition added as "shape": booleans for
     H_{n-1}-stability, subquotient action match and order preservation, and
-    the rank of each layer.
+    the rank of each layer.  A short failure report of that certificate
+    (no layers) is returned unchanged.
     """
     from .framework import restriction_filtration_a
 
@@ -538,7 +539,7 @@ def restriction_filtration(lam, n=None):
     if n != sum(lam):
         raise DomainError("rank must equal |lam|")
     report = restriction_filtration_a("hecke", (lam, 0), n)
-    for layer in report["layers"]:
+    for layer in report.get("layers", ()):
         layer["shape"] = layer["vertex"][0]
     return report
 

@@ -183,7 +183,11 @@ class SpanSolver:
 
     def det_unit(self, key_order):
         """For a square full-rank insertion history: the determinant of the
-        matrix whose rows are the inserted vectors over key_order columns."""
+        matrix whose rows are the inserted vectors over key_order columns,
+        i.e. the product of the pivot entries signed by the permutation of
+        the pivot columns.  Any full-rank system qualifies, and despite the
+        name the result need not be a unit (a Gram matrix's determinant,
+        say).  Raises on a dependent or non-square history."""
         if self.rank != self.n_inserted or self.rank != len(key_order):
             raise InternalInvariantError("det of a non-square or deficient system")
         det = None

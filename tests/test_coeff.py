@@ -203,6 +203,42 @@ def test_gcd_and_divexact():
         assert divexact(p, b) == a or divexact(p, b) * b == p
 
 
+def test_divexact_raises_when_inexact():
+    # q - 1 has a unit lead coefficient, so no integer remainder ever shows
+    # the failure: the quotient's exponent bounds must
+    q = LaurentPoly.gen(QV, Q)
+    with pytest.raises(CoefficientRingError):
+        divexact(q ** 2 + 1, q - 1)
+    # in two variables the lex bound alone does not stop the last pair: its
+    # quotient exponents run (1, -k) for every k, all lex-above (0, 1)
+    q2, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
+    for a, b in [(z ** 2 + q2, q2 - z), (q2 ** -1 + z, z - q2), (z + 1, q2 * z - 1),
+                 (q2 * (1 + z ** -1) + 1, 1 - z ** -1)]:
+        with pytest.raises(CoefficientRingError):
+            divexact(a, b)
+
+
+@st.composite
+def laurent_polys(draw, vars):
+    exps = st.tuples(*(st.integers(-2, 2) for _ in vars))
+    return LaurentPoly(vars, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_divexact_is_exact_or_raises(data):
+    vars = data.draw(st.sampled_from([QV, QZV]))
+    a, b, r = (data.draw(laurent_polys(vars)) for _ in range(3))
+    if b.is_zero():
+        return
+    assert divexact(a * b, b) == a
+    try:
+        quot = divexact(a * b + r, b)
+    except CoefficientRingError:
+        return
+    assert quot * b == a * b + r
+
+
 def test_json_round_trip():
     rng = random.Random(29)
     for _ in range(20):

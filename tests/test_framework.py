@@ -1,10 +1,15 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cellular_towers import cli, framework
 from cellular_towers.coeff import DV, DELTA, LaurentPoly
 from cellular_towers.combinatorics import path_to_tableau
 from cellular_towers.diagrams import BrauerDiagram, DiagramElement
 from cellular_towers.errors import DomainError
 from cellular_towers.framework import (
+    CellDatum,
     a_hat,
     a_hat_diagram,
     branching_agreement,
@@ -19,6 +24,7 @@ from cellular_towers.framework import (
     restriction_filtration_a,
     verify_cell_datum,
     verify_framework_axioms,
+    vertex_gt,
     vertex_str,
 )
 from cellular_towers.hecke import murphy_element
@@ -138,6 +144,15 @@ def test_verify_cell_datum_passes():
         assert rep["pass"], (name, n, rep["checks"], rep["counterexamples"][:2])
 
 
+def test_verify_cell_datum_frontier(monkeypatch, capsys):
+    # the largest cell-datum checks in the suite: hecke 5 (dimension 120)
+    # and brauer 5 (945), which is above brauer's default level bound
+    assert verify_cell_datum(cellular_basis("hecke", 5))["pass"]
+    monkeypatch.setenv("CELLULAR_TOWERS_MAX_LEVEL", "5")
+    assert cli.main(["verify", "--algebra", "brauer", "--n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["cell_datum_n5"]
+
+
 def test_negative_control_detects_corruption():
     datum = cellular_basis("brauer", 2)
     key = (((2,), 0), 0, 0)
@@ -234,3 +249,134 @@ def test_tower_pivot_order_keeps_coordinates_and_det(n):
         coords = plain.express(t.vector(x))
         assert datum.express(x) == {datum.index[i]: c for i, c in coords.items()}
     assert datum.det == plain.det_unit(sorted(keys, key=t.key_str))
+
+
+# ---------------------------------------------------------------------------
+# the row certificate of verify_cell_datum against the per-element loops
+# ---------------------------------------------------------------------------
+
+
+def reference_action_ideal(datum):
+    """The action and ideal checks run on every basis element c_st and
+    generator, as verify_cell_datum ran them before its row certificate:
+    (checks, counterexamples), in the order that function reports them."""
+    t = datum.t
+    out = []
+    for v in datum.vertices:
+        npaths = len(datum.paths[v])
+        for label, a in t.generators(datum.n):
+            for ti in range(npaths):
+                first = None
+                for si in range(npaths):
+                    coords = datum.express(t.mul(datum.elements[(v, si, ti)], a))
+                    where = {"vertex": v, "s": si, "t": ti, "gen": label}
+                    if coords is None:
+                        out.append({"check": "action", **where})
+                        continue
+                    row = {}
+                    for (w, sj, tj), c in coords.items():
+                        if w == v and sj == si:
+                            row[tj] = c
+                        elif w == v:
+                            out.append({"check": "action", **where, "leak": ("row", sj, tj)})
+                        elif not vertex_gt(w, v):
+                            out.append({"check": "action", **where, "leak": ("cell", w)})
+                    if first is None:
+                        first = row
+                    elif row != first:
+                        out.append(
+                            {"check": "action", "vertex": v, "t": ti, "gen": label, "s_mismatch": si}
+                        )
+            for si in range(npaths):
+                for ti in range(npaths):
+                    coords = datum.express(t.mul(a, datum.elements[(v, si, ti)]))
+                    if coords is None or any(
+                        not (w == v or vertex_gt(w, v)) for w, _, _ in coords
+                    ):
+                        out.append(
+                            {"check": "ideal", "vertex": v, "s": si, "t": ti, "gen": label,
+                             "side": "left"}
+                        )
+    checks = {name: not any(c["check"] == name for c in out) for name in ("action", "ideal")}
+    return checks, out
+
+
+def assert_matches_reference(datum):
+    rep = verify_cell_datum(datum)
+    if not rep["checks"]["freeness"]:
+        assert "action" not in rep["checks"]
+        return rep
+    checks, counterexamples = reference_action_ideal(datum)
+    assert {name: rep["checks"][name] for name in checks} == checks
+    k = len(counterexamples)
+    assert rep["counterexamples"][:k] == counterexamples
+    assert all(c["check"] not in checks for c in rep["counterexamples"][k:])
+    return rep
+
+
+DIFFERENTIAL = [("brauer", 2), ("brauer", 3), ("tl", 3), ("tl", 4), ("partition", 3),
+                ("partition", 4), ("hecke", 3), ("bmw", 2)]
+CASE_IDS = [f"{name}_{n}" for name, n in DIFFERENTIAL]
+
+
+@pytest.mark.parametrize("name,n", DIFFERENTIAL, ids=CASE_IDS)
+def test_row_certificate_matches_element_loops(name, n):
+    assert assert_matches_reference(cellular_basis(name, n))["pass"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_certificate_matches_element_loops_perturbed(data):
+    name, n = data.draw(st.sampled_from(DIFFERENTIAL))
+    datum = cellular_basis(name, n)
+    key = data.draw(st.sampled_from(datum.index))
+    other = data.draw(st.sampled_from(datum.index))
+    c = data.draw(st.sampled_from([1, -1, 2]))
+    bad = datum.t.add(datum.elements[key], datum.t.scale(datum.elements[other], c))
+    assert_matches_reference(datum.replaced(key, bad))
+
+
+@pytest.mark.parametrize("name,n", DIFFERENTIAL[1:-1], ids=CASE_IDS[1:-1])
+def test_row_certificate_reads_the_basis_elements(name, n):
+    # c_st gains c_(s',t') of its own cell, s != s': the span of every cell
+    # is unchanged, so every support and span test of the certificate still
+    # passes, and only its identity step (c_st == L_s d_t) sees that the
+    # basis changed (brauer 2 and bmw 2 have no cell with two paths)
+    datum = cellular_basis(name, n)
+    v = next(v for v in datum.vertices if len(datum.paths[v]) > 1)
+    key, other = (v, 1, 0), (v, 0, 0)
+    bad = datum.t.add(datum.elements[key], datum.elements[other])
+    rep = assert_matches_reference(datum.replaced(key, bad))
+    assert not rep["checks"]["action"]
+
+
+BROKEN_CELLS = [
+    ("brauer", 2, ((2,), 0), "one"),
+    ("brauer", 3, ((3,), 0), "one"),
+    ("partition", 4, ((2,), 0), "one"),
+    ("hecke", 3, ((3,), 0), "one"),
+    ("bmw", 2, ((), 1), "one"),
+    ("brauer", 3, ((1,), 1), "e1"),
+    ("tl", 3, ((), 1), "e1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n,vertex,extra", BROKEN_CELLS, ids=[f"{a}_{n}_{x}" for a, n, _, x in BROKEN_CELLS]
+)
+def test_row_certificate_on_a_broken_construction(monkeypatch, name, n, vertex, extra):
+    # c_(lambda,l) at one vertex gains 1 or e_1, in the datum and in the
+    # certificate alike: every c_st is still L_s d_t, so the identity step
+    # passes, and only the support tests (cells >= v) or, for e_1, the span
+    # test of the action rows can reject the basis
+    t = tower(name)
+    real = framework.c_lambda_l
+    x = t.one(n) if extra == "one" else t.e_elt(1, n)
+
+    def shifted(tower_name, v, m):
+        c = real(tower_name, v, m)
+        return t.add(c, x) if (tower_name, v, m) == (name, vertex, n) else c
+
+    monkeypatch.setattr(framework, "c_lambda_l", shifted)
+    rep = assert_matches_reference(CellDatum(name, n))
+    assert rep["checks"]["freeness"] and not rep["checks"]["action"]

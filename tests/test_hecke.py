@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cellular_towers import framework
 from cellular_towers.coeff import QV, LaurentPoly, Q, RationalFunction
 from cellular_towers.combinatorics import (
     addable_nodes,
@@ -321,6 +322,22 @@ def test_restriction_filtration_shapes():
     assert rep["stable"] and rep["subquotients_match"] and rep["order_preserving"]
     rep = restriction_filtration((3,))
     assert [layer["shape"] for layer in rep["layers"]] == [(2,)]
+
+
+def test_restriction_filtration_reports_a_broken_datum(monkeypatch):
+    # the criterion-10 perturbation of the hecke 3 datum: the framework
+    # certificate returns its short failure report, with no layers
+    datum = framework.cellular_basis("hecke", 3)
+    low = datum.vertices[-1]
+    key = next(k for k in datum.index if k[0] != low)
+    bad = datum.replaced(key, datum.t.add(datum.elements[key], datum.elements[(low, 0, 0)]))
+    real = framework.cellular_basis
+    monkeypatch.setattr(
+        framework, "cellular_basis", lambda name, n: bad if (name, n) == ("hecke", 3) else real(name, n)
+    )
+    short = framework.restriction_filtration_a("hecke", ((2, 1), 0), 3)
+    assert short == {"pass": False, "reason": "action left the cell ideal"}
+    assert restriction_filtration((2, 1), 3) == short
 
 
 def test_restriction_filtration_all_n4():
