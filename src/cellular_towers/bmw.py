@@ -8,7 +8,11 @@ with positive crossings along our canonical reduced words.
 The rank-n model is built by vector enumeration (Linton 1991, 1993): the
 right regular module is enumerated from b_0 = 1 straight from the tokens
 (g_i, e_i) and the defining relators, with coefficients in Q(q, z), where
-delta is eliminated.  The certificate:
+delta is eliminated.  Coefficients are LaurentFraction values
+L / (c (q^2 - 1)^k): delta's image has the denominator q^2 - 1, and
+through rank 4 no value needs another, so no polynomial gcd is taken; a
+value outside that ring (first met at rank 5) is a RationalFunction.
+The certificate:
 
 - The enumerated module is cyclic, generated by b_0, and every
   coincidence is a consequence of the relations; once every relator
@@ -41,6 +45,7 @@ from .coeff import (
     QZDV,
     QZV,
     Z,
+    LaurentFraction,
     LaurentPoly,
     RationalFunction,
     delta_as_qz,
@@ -61,9 +66,9 @@ P_ZI = LaurentPoly.gen(QZDV, Z, -1)
 P_D = LaurentPoly.gen(QZDV, DELTA)
 P_TWIST = P_Q - P_QI
 
-F_ONE = RationalFunction.one(QZV)
-F_TWIST = RationalFunction.from_poly(LaurentPoly.gen(QZV, Q) - LaurentPoly.gen(QZV, Q, -1))
-F_Z = RationalFunction.gen(QZV, Z)
+F_ONE = LaurentFraction.of(1, QZV)
+F_TWIST = LaurentFraction(LaurentPoly.gen(QZV, Q) - LaurentPoly.gen(QZV, Q, -1))
+F_Z = LaurentFraction(LaurentPoly.gen(QZV, Z))
 F_ZI = F_Z.inverse()
 
 DEFAULT_BOUND = 4
@@ -803,7 +808,6 @@ def bmw_to_brauer(x):
     from .coeff import DV
 
     one_d = RationalFunction.one(DV)
-    d_free = RationalFunction.gen(DV, DELTA)
     out = DiagramElement(x.n)
     if x.words is not None:
         for w, c in x.words.items():

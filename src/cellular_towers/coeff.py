@@ -5,19 +5,21 @@ Three types cover every algebra in the package:
 * :class:`LaurentPoly` -- multivariate Laurent polynomials with arbitrary
   precision integer coefficients, in canonical form (no zero terms, fixed
   indeterminate order).
-* :class:`LaurentFraction` -- L / c for a Laurent polynomial L and a
-  positive integer c.  The Hecke and diagram towers live over Z[q, q⁻¹]
-  and Z[δ], so nearly every value their solvers meet has this form; the
-  type keeps it without a second polynomial and falls back to
-  RationalFunction only when it inverts a non-monomial L.
+* :class:`LaurentFraction` -- L / (c · (q² − 1)^k) for a Laurent
+  polynomial L, a positive integer c and k ≥ 0.  The Hecke and diagram
+  towers live over Z[q, q⁻¹] and Z[δ], so nearly every value their solvers
+  meet has the form L / c (k = 0); the BMW tower, over Q(q, z) with δ
+  eliminated, needs the powers of q² − 1 as well.  The type keeps these
+  values without a second polynomial or a gcd, and falls back to
+  RationalFunction only when it inverts an L that is not a monomial times
+  powers of q − 1 and q + 1.
 * :class:`RationalFunction` -- reduced fractions of Laurent polynomials,
-  normalized so equal values compare structurally equal.  It covers
-  Q(q, z), where the BMW tower lives, and every value LaurentFraction
-  cannot hold.
+  normalized so equal values compare structurally equal.  It covers every
+  value LaurentFraction cannot hold, `specialize` and the public API.
 
 The indeterminates used in practice are q, z and δ, always in this order
 when they appear together.  `delta_eliminate` is the quotient map onto
-Q(q, z) that sends δ to (z⁻¹ − z)/(q⁻¹ − q) + 1.
+Q(q, z) that sends δ to (z⁻¹ − z)/(q⁻¹ − q) + 1 = (q·z − q·z⁻¹ + q² − 1)/(q² − 1).
 """
 
 from __future__ import annotations
@@ -888,37 +890,51 @@ def _reduce_fraction(num, den):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over an integer
+# Laurent polynomials over an integer and a power of q² − 1
 # ---------------------------------------------------------------------------
 
 
 class LaurentFraction:
-    """L / c: a Laurent polynomial L over a positive integer c.
+    """L / (c · (q² − 1)^k): a Laurent polynomial L over a positive integer c
+    and a power of q² − 1.
 
     The Murphy-type bases live over Z[q, q⁻¹] and Z[δ] (Murphy 1995), and
     with the towers' pivot orders nearly every value their solvers touch
-    has this form.  `terms` is L's term map, shared and never mutated; `c`
-    is an int with c ≥ 1 and gcd(content(L), c) = 1, and zero is
-    ({}, 1), so equal values are structurally equal.  Arithmetic calls the
-    term-map kernel directly: an integer gcd is taken only when c > 1, no
-    exponent shift is made, and a factor of ±1 costs no kernel call.
+    has the form L / c, with k = 0.  The BMW tower lives over Q(q, z) with δ
+    eliminated; δ's image has the denominator q² − 1 (`delta_as_qz`), and
+    through rank 4 every value it meets lies in
+    Z[q^±1, z^±1][1/(q² − 1)] ⊗ Q.
 
-    Inverting ±k·x^e stays in the type; inverting any other L gives the
-    RationalFunction c / L.  An operation with a RationalFunction operand
-    returns NotImplemented, so RationalFunction computes it.  `num`, `den`,
-    `str` and `to_json` are those of the equal RationalFunction, which also
-    compares and hashes equal.
+    `terms` is L's term map, shared and never mutated; `c` is an int with
+    c ≥ 1 and gcd(content(L), c) = 1; `k` ≥ 0 is minimal, i.e. q² − 1 does
+    not divide L when k > 0, and k > 0 only when q is among the variables.
+    Zero is ({}, 1, 0), so equal values are structurally equal.  Arithmetic
+    calls the term-map kernel directly: an integer gcd is taken only when
+    c > 1, no exponent shift is made, a factor of ±1 costs no kernel call,
+    and q² − 1 is divided out exactly (L vanishing at q = ±1 in every
+    column of the other variables, then synthetic division), never through
+    a polynomial gcd.
+
+    Inverting L stays in the type when L is a monomial times
+    (q − 1)^a (q + 1)^b, since 1/(q ∓ 1) = (q ± 1)/(q² − 1); inverting any
+    other L gives the RationalFunction c·(q² − 1)^k / L.  An operation with
+    a RationalFunction operand returns NotImplemented, so RationalFunction
+    computes it.  `num`, `den`, `str` and `to_json` are those of the equal
+    RationalFunction, which also compares and hashes equal.
     """
 
-    __slots__ = ("vars", "terms", "c")
+    __slots__ = ("vars", "terms", "c", "k")
 
-    def __new__(cls, poly, c=1):
-        """poly / c for a LaurentPoly and a nonzero int."""
+    def __new__(cls, poly, c=1, k=0):
+        """poly / (c · (q² − 1)^k) for a LaurentPoly, a nonzero int and an
+        int k ≥ 0 (k > 0 needs q among poly's variables)."""
         if not c:
             raise ZeroDivisionError("Laurent fraction with zero denominator")
+        if k < 0 or (k and Q not in poly.vars):
+            raise CoefficientRingError(f"no denominator (q² − 1)^{k} over {poly.vars}")
         if c < 0:
-            return _lf(poly.vars, terms_neg(poly.terms), -c)
-        return _lf(poly.vars, poly.terms, c)
+            return _lf(poly.vars, terms_neg(poly.terms), -c, k)
+        return _lf(poly.vars, poly.terms, c, k)
 
     @classmethod
     def of(cls, x, vars):
@@ -928,9 +944,9 @@ class LaurentFraction:
         if isinstance(x, LaurentPoly):
             if x.vars != vars:
                 x = x.extend_vars(vars)
-            return _lf_raw(vars, x.terms, 1)
+            return _lf_raw(vars, x.terms, 1, 0)
         if isinstance(x, int):
-            return _lf_raw(vars, {(0,) * len(vars): x} if x else {}, 1)
+            return _lf_raw(vars, {(0,) * len(vars): x} if x else {}, 1, 0)
         return x
 
     # -- arithmetic -----------------------------------------------------------
@@ -967,7 +983,7 @@ class LaurentFraction:
         return _lf_sum(o, self, terms_sub)
 
     def __neg__(self):
-        return _lf_raw(self.vars, terms_neg(self.terms), self.c)
+        return _lf_raw(self.vars, terms_neg(self.terms), self.c, self.k)
 
     def __mul__(self, other):
         o = other if other.__class__ is LaurentFraction else self._coerce(other)
@@ -976,7 +992,7 @@ class LaurentFraction:
         if o.vars != self.vars:
             raise CoefficientRingError(f"mismatched indeterminates {self.vars} vs {o.vars}")
         if not self.terms or not o.terms:
-            return _lf_raw(self.vars, {}, 1)
+            return _lf_raw(self.vars, {}, 1, 0)
         # a factor of +-1 needs no arithmetic (the other is already canonical)
         u = _lf_sign(o)
         if u:
@@ -984,7 +1000,9 @@ class LaurentFraction:
         u = _lf_sign(self)
         if u:
             return o if u > 0 else -o
-        return _lf(self.vars, terms_mul(self.terms, o.terms), self.c * o.c)
+        return _lf(
+            self.vars, terms_mul(self.terms, o.terms), self.c * o.c, self.k + o.k
+        )
 
     __rmul__ = __mul__
 
@@ -1001,17 +1019,60 @@ class LaurentFraction:
         return o * self.inverse()
 
     def inverse(self):
-        terms = self.terms
-        if len(terms) == 1:
-            # c / (k x^e) = (±c x^-e) / |k|, already coprime
-            (e, k), = terms.items()
+        terms, vars, c, k = self.terms, self.vars, self.c, self.k
+        if len(terms) == 1 and not k:
+            # c / (m x^e) = (±c x^-e) / |m|, already coprime
+            (e, m), = terms.items()
             e = tuple(-x for x in e)
-            return _lf_raw(self.vars, {e: self.c if k > 0 else -self.c}, abs(k))
+            return _lf_raw(vars, {e: c if m > 0 else -c}, abs(m), 0)
         if not terms:
             raise ZeroDivisionError("inverse of zero")
+        if Q not in vars:
+            return RationalFunction(LaurentPoly.const(vars, c), LaurentPoly._raw(vars, terms))
+        # L = m x^e (q − 1)^a (q + 1)^b inverts to
+        # (±c x^-e (q − 1)^b (q + 1)^a (q² − 1)^k) / (|m| (q² − 1)^(a + b))
+        qi = vars.index(Q)
+        rest, a, b = terms, 0, 0
+        while len(rest) > 1:
+            at_one, at_minus_one = _q_roots(rest, qi)
+            if at_one:
+                rest, a = _divide_q(rest, qi, 1, 1), a + 1
+            elif at_minus_one:
+                rest, b = _divide_q(rest, qi, 1, -1), b + 1
+            else:
+                break
+        factor = _q_factor(vars, k, k)
+        if len(rest) == 1:
+            (e, m), = rest.items()
+            e = tuple(-x for x in e)
+            num = terms_mul_monomial(
+                terms_mul(factor, _q_factor(vars, b, a)), e, c if m > 0 else -c
+            )
+            return _lf(vars, num, abs(m), a + b)
         return RationalFunction(
-            LaurentPoly.const(self.vars, self.c), LaurentPoly._raw(self.vars, terms)
+            LaurentPoly._raw(vars, terms_scale(factor, c)), LaurentPoly._raw(vars, terms)
         )
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = _lf_raw(self.vars, {(0,) * len(self.vars): 1}, 1, 0)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_one(self):
+        return _lf_sign(self) == 1
 
     def __bool__(self):
         return bool(self.terms)
@@ -1021,7 +1082,10 @@ class LaurentFraction:
     def __eq__(self, other):
         if other.__class__ is LaurentFraction:
             return (
-                self.c == other.c and self.terms == other.terms and self.vars == other.vars
+                self.c == other.c
+                and self.k == other.k
+                and self.terms == other.terms
+                and self.vars == other.vars
             )
         if isinstance(other, RationalFunction):
             return other == self
@@ -1038,7 +1102,20 @@ class LaurentFraction:
 
     def _num_den(self):
         """The canonical (num, den) of the equal RationalFunction."""
-        return _monomial_fraction(self.vars, self.terms, (0,) * len(self.vars), self.c)
+        vars, terms, k = self.vars, self.terms, self.k
+        zero = (0,) * len(vars)
+        if not k:
+            return _monomial_fraction(vars, terms, zero, self.c)
+        # cancel the factors q − 1 and q + 1 that L shares with (q² − 1)^k
+        qi = vars.index(Q)
+        i = j = k
+        while i and _q_roots(terms, qi)[0]:
+            terms, i = _divide_q(terms, qi, 1, 1), i - 1
+        while j and _q_roots(terms, qi)[1]:
+            terms, j = _divide_q(terms, qi, 1, -1), j - 1
+        num, den = _monomial_fraction(vars, terms, zero, self.c)
+        (s, c), = den.terms.items()
+        return num, LaurentPoly._raw(vars, terms_mul_monomial(_q_factor(vars, i, j), s, c))
 
     @property
     def num(self):
@@ -1061,17 +1138,26 @@ class LaurentFraction:
 _new = object.__new__
 
 
-def _lf_raw(vars, terms, c):
+def _lf_raw(vars, terms, c, k):
     """A LaurentFraction from parts already in canonical form."""
     x = _new(LaurentFraction)
     x.vars = vars
     x.terms = terms
     x.c = c
+    x.k = k
     return x
 
 
-def _lf(vars, terms, c):
-    """terms / c for c ≥ 1, content and denominator made coprime."""
+def _lf(vars, terms, c, k):
+    """terms / (c·(q² − 1)^k) for c ≥ 1 and k ≥ 0, with q² − 1 divided out
+    while it divides and the content made coprime to c."""
+    if k:
+        if not terms:
+            k = 0
+        else:
+            qi = vars.index(Q)
+            while k and all(_q_roots(terms, qi)):
+                terms, k = _divide_q(terms, qi, 2, 1), k - 1
     if c > 1:
         if not terms:
             c = 1
@@ -1079,13 +1165,13 @@ def _lf(vars, terms, c):
             g = int_gcd(c, *terms.values())
             if g > 1:
                 c //= g
-                terms = {e: k // g for e, k in terms.items()}
-    return _lf_raw(vars, terms, c)
+                terms = {e: x // g for e, x in terms.items()}
+    return _lf_raw(vars, terms, c, k)
 
 
 def _lf_sign(x):
     """1 or -1 when the LaurentFraction x equals +-1, else 0."""
-    if x.c == 1 and len(x.terms) == 1:
+    if x.c == 1 and len(x.terms) == 1 and not x.k:
         (e, k), = x.terms.items()
         if (k == 1 or k == -1) and not any(e):
             return k
@@ -1110,7 +1196,65 @@ def _lf_sum(a, b, combine):
             ta = terms_scale(ta, c // ca)
         if cb != c:
             tb = terms_scale(tb, c // cb)
-    return _lf(a.vars, combine(ta, tb), c)
+    k = a.k
+    if k != b.k:
+        # over the larger power of q² − 1
+        if k < b.k:
+            ta = terms_mul(ta, _q_factor(a.vars, b.k - k, b.k - k))
+            k = b.k
+        else:
+            tb = terms_mul(tb, _q_factor(a.vars, k - b.k, k - b.k))
+    return _lf(a.vars, combine(ta, tb), c, k)
+
+
+def _q_roots(terms, qi):
+    """Whether a term map vanishes at q = 1 and at q = -1, q being variable
+    qi: every column of the other variables must sum to zero."""
+    at_one, at_minus_one = {}, {}
+    for e, c in terms.items():
+        r = e[:qi] + e[qi + 1 :]
+        at_one[r] = at_one.get(r, 0) + c
+        at_minus_one[r] = at_minus_one.get(r, 0) + (-c if e[qi] & 1 else c)
+    return not any(at_one.values()), not any(at_minus_one.values())
+
+
+def _divide_q(terms, qi, t, s):
+    """terms / (q^t − s) by synthetic division in each column of the other
+    variables, q being variable qi; the division must be exact.
+
+    From (q^t − s)·Q = P, the coefficients satisfy Q_(d−t) = P_d + s·Q_d,
+    computed from the top degree down."""
+    cols = {}
+    for e, c in terms.items():
+        cols.setdefault(e[:qi] + e[qi + 1 :], {})[e[qi]] = c
+    out = {}
+    for r, col in cols.items():
+        lo = min(col)
+        quot = {}
+        for d in range(max(col), lo - 1, -1):
+            x = col.get(d, 0) + s * quot.get(d, 0)
+            if d < lo + t:
+                if x:
+                    raise CoefficientRingError(f"q^{t} - {s} does not divide the terms")
+            elif x:
+                quot[d - t] = x
+        for d, x in quot.items():
+            out[r[:qi] + (d,) + r[qi:]] = x
+    return out
+
+
+@cache
+def _q_factor(vars, i, j):
+    """(q − 1)^i (q + 1)^j as a term map over vars; shared, never mutated."""
+    n = len(vars)
+    qi = vars.index(Q)
+    one = (0,) * n
+    q = tuple(int(m == qi) for m in range(n))
+    out = {one: 1}
+    for s, times in ((-1, i), (1, j)):
+        for _ in range(times):
+            out = terms_mul(out, {q: 1, one: s})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1121,10 +1265,11 @@ def _lf_sum(a, b, combine):
 def specialize(p, assignment, target_vars=None):
     """Substitute RationalFunction values for some indeterminates of p.
 
-    `assignment` maps symbol names to RationalFunction (or LaurentPoly/int)
-    values over a common target variable tuple; unassigned symbols are
-    retained and must appear among the target variables.  Substitution is a
-    ring homomorphism; a zero denominator raises SpecializationError.
+    `assignment` maps symbol names to RationalFunction (or LaurentFraction,
+    LaurentPoly or int) values over a common target variable tuple;
+    unassigned symbols are retained and must appear among the target
+    variables.  Substitution is a ring homomorphism; a zero denominator
+    raises SpecializationError.
     """
     if isinstance(p, LaurentFraction):
         p = RationalFunction(*p._num_den(), _reduced=True)
@@ -1136,7 +1281,7 @@ def specialize(p, assignment, target_vars=None):
     if target_vars is None:
         names = set()
         for v in assignment.values():
-            if isinstance(v, (LaurentPoly, RationalFunction)):
+            if isinstance(v, (LaurentPoly, LaurentFraction, RationalFunction)):
                 names.update(v.vars)
         names.update(v for v in p.vars if v not in assignment)
         target_vars = ordered_vars(names)
@@ -1153,6 +1298,8 @@ def specialize(p, assignment, target_vars=None):
                 raise CoefficientRingError(
                     f"assignment for {v} is over {val.vars}, expected {target_vars}"
                 )
+            elif isinstance(val, LaurentFraction):
+                val = RationalFunction(*val._num_den(), _reduced=True)
         else:
             if v not in target_vars:
                 raise CoefficientRingError(f"retained symbol {v} missing from target")
@@ -1172,19 +1319,42 @@ def specialize(p, assignment, target_vars=None):
 
 @cache
 def delta_as_qz():
-    """δ's image (z⁻¹ − z)/(q⁻¹ − q) + 1 in Q(q, z); built once, shared."""
-    zi = LaurentPoly.gen(QZV, Z, -1) - LaurentPoly.gen(QZV, Z)
-    qi = LaurentPoly.gen(QZV, Q, -1) - LaurentPoly.gen(QZV, Q)
-    return RationalFunction(zi, qi) + RationalFunction.one(QZV)
+    """δ's image (z⁻¹ − z)/(q⁻¹ − q) + 1 = (q·z − q·z⁻¹ + q² − 1)/(q² − 1)
+    in Q(q, z), a LaurentFraction with k = 1; built once, shared."""
+    return LaurentFraction(
+        LaurentPoly(QZV, {(1, 1): 1, (1, -1): -1, (2, 0): 1, (0, 0): -1}), 1, 1
+    )
 
 
 def delta_eliminate(p):
-    """Image of p (over any subset of {q, z, δ}) in Q(q, z) with δ eliminated."""
-    if isinstance(p, RationalFunction):
+    """Image of p (over any subset of {q, z, δ}) in Q(q, z) with δ eliminated.
+
+    A Laurent polynomial with no negative power of δ maps into the
+    LaurentFraction ring: writing δ = L_δ / (q² − 1) and m for the top power
+    of δ, p = Σ_d P_d δ^d maps to Σ_d P_d L_δ^d (q² − 1)^(m−d) / (q² − 1)^m,
+    summed by Horner's rule.  A negative power of δ leaves the ring (L_δ is
+    not a monomial times powers of q ∓ 1), and goes through `specialize`.
+    """
+    if isinstance(p, (RationalFunction, LaurentFraction)):
         den = delta_eliminate(p.den)
         if den.is_zero():
             raise SpecializationError("denominator vanishes under delta elimination")
         return delta_eliminate(p.num) / den
     if DELTA not in p.vars:
-        return specialize(p, {}, QZV)
-    return specialize(p, {DELTA: delta_as_qz()}, QZV)
+        return LaurentFraction.of(p, QZV)
+    p = p.extend_vars(QZDV)
+    parts = {}  # power of δ -> term map over (q, z)
+    for e, c in p.terms.items():
+        parts.setdefault(e[2], {})[e[:2]] = c
+    if not parts:
+        return _lf_raw(QZV, {}, 1, 0)
+    if min(parts) < 0:
+        return specialize(p, {DELTA: delta_as_qz()}, QZV)
+    m = max(parts)
+    lifted = delta_as_qz().terms
+    acc = parts[m]
+    for d in range(m - 1, -1, -1):
+        acc = terms_mul(acc, lifted)
+        if d in parts:
+            acc = terms_add(acc, terms_mul(parts[d], _q_factor(QZV, m - d, m - d)))
+    return _lf(QZV, acc, 1, m)

@@ -26,6 +26,7 @@ from cellular_towers.coeff import (
     DV,
     QZDV,
     QZV,
+    LaurentFraction,
     LaurentPoly,
     RationalFunction,
     delta_as_qz,
@@ -40,6 +41,7 @@ from cellular_towers.diagrams import (
 from cellular_towers.errors import BoundExceededError, DomainError, InternalInvariantError
 from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
+from cellular_towers.framework import cellular_basis
 from cellular_towers.linalg import SpanSolver
 
 QP = LaurentPoly.gen(QZDV, "q")
@@ -51,6 +53,12 @@ F_ONE = RationalFunction.one(QZV)
 # ---------------------------------------------------------------------------
 
 
+def _rf(x):
+    """x as a RationalFunction, canonicalized on the gcd path: the reference
+    stays off the LaurentFraction arithmetic it checks."""
+    return RationalFunction(x.num, x.den)
+
+
 @cache
 def _reduce_f(word):
     """reduce_word with delta eliminated into Q(q, z)."""
@@ -58,7 +66,7 @@ def _reduce_f(word):
     for w, c in reduce_word(word).items():
         f = delta_eliminate(c)
         if f:
-            out[w] = f
+            out[w] = _rf(f)
     return out
 
 
@@ -79,6 +87,7 @@ def _apply_word(vec, word):
 def _trace(vec, relation):
     out = {}
     for word, c in relation:
+        c = _rf(c)
         for w, cw in _apply_word(vec, word).items():
             _acc(out, w, cw * c)
     return out
@@ -198,10 +207,32 @@ def test_perturbed_action_fails_relations(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_enumerated_model_matches_reference(n):
+    # the reference runs on RationalFunction, the model on LaurentFraction
     rho, star_rows = reference_model(n)
     m = bmw_model(n)
+    assert all(
+        type(c) is RationalFunction
+        for rows in (*rho.values(), star_rows) for row in rows for c in row.values()
+    )
     assert m.rho == rho
     assert m.star_rows == star_rows
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_model_stays_in_laurent_fractions(n):
+    """Every action and star entry of the rank-3 and rank-4 models is a
+    LaurentFraction L / (c · (q² − 1)^k): none fell back to RationalFunction
+    and its gcds."""
+    m = bmw_model(n)
+    for rows in (*m.rho.values(), m.star_rows):
+        for row in rows:
+            assert all(type(c) is LaurentFraction for c in row.values())
+
+
+def test_cellular_basis_stays_in_laurent_fractions():
+    datum = cellular_basis("bmw", 3)
+    for x in datum.elements.values():
+        assert x.coords and all(type(c) is LaurentFraction for c in x.coords.values())
 
 
 def test_rank_4_model():

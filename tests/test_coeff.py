@@ -395,13 +395,37 @@ def test_gcd_filter_vanishing_leading_coefficient_falls_through():
 
 @st.composite
 def laurent_fractions(draw, vars, max_terms=3):
-    """L / c with negative exponents allowed and c up to 12, as the pair
-    (LaurentFraction, the equal RationalFunction)."""
+    """L / (c · (q² − 1)^k) with negative exponents allowed, c up to 12 and,
+    when q is among the variables, k up to 3 and L carrying powers of q − 1
+    and q + 1 up to 3 (so 1/(q + 1) = (q − 1)/(q² − 1), 1/(q − 1) and values
+    that cancel to k = 0 all occur), as the pair (LaurentFraction, the
+    equal RationalFunction)."""
     exps = st.tuples(*(st.integers(-4, 4) for _ in vars))
     terms = draw(st.dictionaries(exps, st.integers(-12, 12), max_size=max_terms))
     c = draw(st.integers(-12, 12).filter(bool))
     poly = LaurentPoly(vars, terms)
-    return LaurentFraction(poly, c), RationalFunction(poly, LaurentPoly.const(vars, c))
+    k = 0
+    den = LaurentPoly.const(vars, c)
+    if Q in vars:
+        q = LaurentPoly.gen(vars, Q)
+        poly = poly * (q - 1) ** draw(st.integers(0, 3)) * (q + 1) ** draw(st.integers(0, 3))
+        k = draw(st.integers(0, 3))
+        den = den * (q * q - 1) ** k
+    return LaurentFraction(poly, c, k), RationalFunction(poly, den)
+
+
+def _q_pm1_monomial(p):
+    """Whether the LaurentPoly p is a monomial times powers of q − 1 and
+    q + 1 (just a monomial when q is not among its variables)."""
+    if Q in p.vars:
+        q = LaurentPoly.gen(p.vars, Q)
+        for f in (q - 1, q + 1):
+            while len(p.terms) > 1:
+                try:
+                    p = divexact(p, f)
+                except CoefficientRingError:
+                    break
+    return len(p.terms) == 1
 
 
 def _agrees(got, ref, kind=LaurentFraction):
@@ -413,14 +437,19 @@ def _agrees(got, ref, kind=LaurentFraction):
     assert str(got) == str(ref)
     assert got.to_json() == ref.to_json()
     if kind is LaurentFraction:
-        assert got.c >= 1 and (got.terms or got.c == 1)
+        assert got.c >= 1 and (got.terms or (got.c, got.k) == (1, 0))
         assert gcd(got.c, *got.terms.values()) == 1
+        if got.k:
+            # k is minimal: q² − 1 does not divide L
+            q = LaurentPoly.gen(got.vars, Q)
+            with pytest.raises(CoefficientRingError):
+                divexact(LaurentPoly(got.vars, got.terms), q * q - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_laurent_fraction_matches_rational_function(data):
-    vars = data.draw(st.sampled_from([QV, DV]))
+    vars = data.draw(st.sampled_from([QV, DV, QZV]))
     x, rx = data.draw(laurent_fractions(vars))
     y, ry = data.draw(laurent_fractions(vars))
     k = data.draw(st.integers(-5, 5))
@@ -429,6 +458,7 @@ def test_laurent_fraction_matches_rational_function(data):
     _agrees(x - y, rx - ry)
     _agrees(x * y, rx * ry)
     _agrees(-x, -rx)
+    _agrees(x ** 2, rx ** 2)
     # int operands on either side
     _agrees(x + k, rx + k)
     _agrees(k + x, k + rx)
@@ -440,9 +470,11 @@ def test_laurent_fraction_matches_rational_function(data):
     if x == k:
         assert hash(x) == hash(k)
     if y:
-        monomial = len(y.terms) == 1
-        kind = LaurentFraction if monomial else RationalFunction
+        # the inverse stays in the type exactly when the reduced numerator
+        # is a monomial times powers of q − 1 and q + 1
+        kind = LaurentFraction if _q_pm1_monomial(ry.num) else RationalFunction
         _agrees(y.inverse(), ry.inverse(), kind)
+        _agrees(y ** -2, ry ** -2, kind)
         _agrees(x / y, rx / ry, kind)
         if k:
             _agrees(k / y, k / ry, kind)
@@ -454,7 +486,7 @@ def test_laurent_fraction_matches_rational_function(data):
 @given(st.data())
 def test_laurent_fraction_with_rational_function_operand(data):
     """Operations with a RationalFunction operand are computed by it."""
-    vars = data.draw(st.sampled_from([QV, DV]))
+    vars = data.draw(st.sampled_from([QV, DV, QZV]))
     x, rx = data.draw(laurent_fractions(vars))
     cof = COFACTORS[vars]
     f = RationalFunction(LaurentPoly.one(vars), cof)  # not an L / c
@@ -484,3 +516,56 @@ def test_laurent_fraction_canonical_forms():
         x + LaurentFraction.of(LaurentPoly.gen(DV, DELTA), DV)
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
+
+
+def test_laurent_fraction_powers_of_q_squared_minus_one():
+    q = LaurentPoly.gen(QZV, Q)
+    z = LaurentPoly.gen(QZV, Z)
+    one = LaurentPoly.one(QZV)
+    # 1/(q + 1) = (q − 1)/(q² − 1) and 1/(q − 1) = (q + 1)/(q² − 1)
+    for f, other in ((q + 1, q - 1), (q - 1, q + 1)):
+        x = LaurentFraction(f).inverse()
+        assert type(x) is LaurentFraction and x.k == 1 and x.terms == other.terms
+        assert x == RationalFunction(one, f) and str(x) == f"(1)/({f})"
+        assert x * f == 1 and (x * f).is_one() and not (x - x)
+    # q² − 1 dividing L cancels down to k = 0
+    x = LaurentFraction((q * q - 1) ** 2 * z, 3, 2)
+    assert x.k == 0 and x.c == 3 and x.terms == z.terms
+    # a sum over the larger k, then q² − 1 divided out
+    half = LaurentFraction(q + 1, 2, 1)  # 1/(2(q − 1))
+    other = LaurentFraction(q - 1, 2, 1)  # 1/(2(q + 1))
+    assert half + other == RationalFunction(q, q * q - 1)
+    assert (half - other).terms == one.terms and (half - other).k == 1
+    assert half - half == 0 and (half - half).k == 0
+    # 2(q − 1)²·q⁻¹ inverts in the type; q + z does not
+    y = LaurentFraction(2 * (q - 1) ** 2 * q ** -1)
+    assert type(y.inverse()) is LaurentFraction and y.inverse() * y == 1
+    assert type(LaurentFraction(q + z).inverse()) is RationalFunction
+    # the factor exists only over q
+    with pytest.raises(CoefficientRingError):
+        LaurentFraction(LaurentPoly.one(DV), 1, 1)
+
+
+def _delta_rf():
+    """δ's image built on the RationalFunction path, as the reference."""
+    zi = LaurentPoly.gen(QZV, Z, -1) - LaurentPoly.gen(QZV, Z)
+    qi = LaurentPoly.gen(QZV, Q, -1) - LaurentPoly.gen(QZV, Q)
+    return RationalFunction(zi, qi) + RationalFunction.one(QZV)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_delta_eliminate_matches_specialize(data):
+    """delta_eliminate against specialization at the RationalFunction δ; a
+    negative power of δ (δ⁻¹ lies outside the LaurentFraction ring) takes
+    the fallback."""
+    vars = data.draw(st.sampled_from([QZDV, DV, (Z, DELTA), QZV]))
+    exps = st.tuples(*(st.integers(-2, 2) if v == DELTA else st.integers(-3, 3) for v in vars))
+    p = LaurentPoly(vars, data.draw(st.dictionaries(exps, st.integers(-6, 6), max_size=3)))
+    ref = specialize(p, {DELTA: _delta_rf()} if DELTA in vars else {}, QZV)
+    got = delta_eliminate(p)
+    negative = DELTA in vars and any(e[vars.index(DELTA)] < 0 for e in p.terms)
+    if negative:
+        assert got == ref and ref == got and str(got) == str(ref)
+    else:
+        _agrees(got, ref)
