@@ -3,7 +3,16 @@
 A term map is a dict sending exponent vectors (tuples of ints, possibly
 negative) to nonzero Python ints.  These functions are the hot inner loop
 of every algebra computation in the package.  Zero coefficients are never
-stored.
+stored, and no function mutates a map it is given: term maps are shared.
+
+Products build their exponent tuples directly for one and two variables
+(Z[δ] and Q(q) have one, Q(q, z) has two); other arities add exponents
+through `zip`.  A one-term operand is an injective shift, so its product
+is a single comprehension with no cancellation test.  `terms_submul`
+returns acc − a·b in one pass over the term pairs, without building a·b:
+the sparse saxpy update of every solver (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).
 """
 
 KERNEL = "python"
@@ -43,16 +52,43 @@ def terms_scale(a, k):
     return {exp: c * k for exp, c in a.items()}
 
 
-def terms_mul(a, b):
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for ea, ca in a.items():
+def _shift(a, exp, k):
+    """a * k*x^exp: exponents move injectively, so no term cancels."""
+    n = len(exp)
+    if n == 1:
+        (e,) = exp
+        return {(x + e,): c * k for (x,), c in a.items()}
+    if n == 2:
+        e0, e1 = exp
+        return {(x0 + e0, x1 + e1): c * k for (x0, x1), c in a.items()}
+    return {tuple(x + y for x, y in zip(e, exp)): c * k for e, c in a.items()}
+
+
+def _sub_shifted(out, b, exp, k):
+    """out − k*x^exp·b, accumulated into out, which is returned."""
+    n = len(exp)
+    if n == 1:
+        (e,) = exp
+        for (y,), cb in b.items():
+            key = (y + e,)
+            s = out.get(key, 0) - k * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    elif n == 2:
+        e0, e1 = exp
+        for (y0, y1), cb in b.items():
+            key = (y0 + e0, y1 + e1)
+            s = out.get(key, 0) - k * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    else:
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(key, 0) + ca * cb
+            key = tuple(x + y for x, y in zip(eb, exp))
+            s = out.get(key, 0) - k * cb
             if s:
                 out[key] = s
             else:
@@ -60,6 +96,65 @@ def terms_mul(a, b):
     return out
 
 
+def _add_products(out, a, b):
+    """out + a·b, accumulated into out, which is returned; a and b are
+    nonempty."""
+    n = len(next(iter(a)))
+    if n == 1:
+        for (x,), ca in a.items():
+            for (y,), cb in b.items():
+                key = (x + y,)
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    elif n == 2:
+        for (x0, x1), ca in a.items():
+            for (y0, y1), cb in b.items():
+                key = (x0 + y0, x1 + y1)
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    else:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def terms_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((exp, k),) = a.items()
+        return _shift(b, exp, k)
+    return _add_products({}, a, b)
+
+
 def terms_mul_monomial(a, exp, k):
     """a * k*x^exp; exp is an exponent tuple, k a nonzero int."""
-    return {tuple(x + y for x, y in zip(e, exp)): c * k for e, c in a.items()}
+    return _shift(a, exp, k)
+
+
+def terms_submul(acc, a, b):
+    """acc − a·b as a new map; a·b is never built and acc is not mutated."""
+    if not a or not b:
+        return dict(acc)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((exp, k),) = a.items()
+        if not acc:
+            return _shift(b, exp, -k)
+        return _sub_shifted(dict(acc), b, exp, k)
+    return _add_products(dict(acc), {e: -c for e, c in a.items()}, b)

@@ -36,6 +36,7 @@ from ._kernel import (
     terms_neg,
     terms_scale,
     terms_sub,
+    terms_submul,
 )
 from .errors import CoefficientRingError, SpecializationError
 
@@ -913,7 +914,8 @@ class LaurentFraction:
     c > 1, no exponent shift is made, a factor of ±1 costs no kernel call,
     and q² − 1 is divided out exactly (L vanishing at q = ±1 in every
     column of the other variables, then synthetic division), never through
-    a polynomial gcd.
+    a polynomial gcd.  `sub_mul(s, a, b)`, the solvers' update, computes
+    s − a·b in one kernel pass with the same result.
 
     Inverting L stays in the type when L is a monomial times
     (q − 1)^a (q + 1)^b, since 1/(q ∓ 1) = (q ± 1)/(q² − 1); inverting any
@@ -1205,6 +1207,61 @@ def _lf_sum(a, b, combine):
         else:
             tb = terms_mul(tb, _q_factor(a.vars, k - b.k, k - b.k))
     return _lf(a.vars, combine(ta, tb), c, k)
+
+
+def sub_mul(s, a, b):
+    """s − a·b for field elements, s None meaning 0: the update of every
+    solver step, as one operation.
+
+    When a, b and s are LaurentFractions the result is the canonical value
+    `s - a * b` has, computed without building a·b: a factor of ±1 costs no
+    kernel call, and otherwise s and a·b meet over the least common integer
+    and the larger power of q² − 1, `terms_submul` forms the numerator in
+    one pass, and `_lf` normalizes it once.  Any other operand (a
+    RationalFunction, or a mix) computes `s - a * b` itself.
+    """
+    if not (
+        a.__class__ is b.__class__ is LaurentFraction
+        and (s is None or s.__class__ is LaurentFraction)
+    ):
+        return -(a * b) if s is None else s - a * b
+    vars = a.vars
+    if b.vars != vars or (s is not None and s.vars != vars):
+        raise CoefficientRingError(f"mismatched indeterminates {a.vars} vs {b.vars}")
+    ta, tb = a.terms, b.terms
+    if not ta or not tb:
+        return _lf_raw(vars, {}, 1, 0) if s is None else s
+    u = len(tb) == 1 and _lf_sign(b)
+    if u:
+        p = a
+    else:
+        u = len(ta) == 1 and _lf_sign(a)
+        p = b
+    if u:
+        if s is None:
+            return -p if u > 0 else p
+        return _lf_sum(s, p, terms_sub if u > 0 else terms_add)
+    c, k = a.c * b.c, a.k + b.k
+    if s is None or not s.terms:
+        return _lf(vars, terms_submul({}, ta, tb), c, k)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    acc, cs, ks = s.terms, s.c, s.k
+    if cs != c:
+        m = cs // int_gcd(cs, c) * c
+        if cs != m:
+            acc = terms_scale(acc, m // cs)
+        if c != m:
+            ta = terms_scale(ta, m // c)
+        c = m
+    if ks != k:
+        # over the larger power of q² − 1
+        if ks < k:
+            acc = terms_mul(acc, _q_factor(vars, k - ks, k - ks))
+        else:
+            ta = terms_mul(ta, _q_factor(vars, ks - k, ks - k))
+            k = ks
+    return _lf(vars, terms_submul(acc, ta, tb), c, k)
 
 
 def _q_roots(terms, qi):

@@ -15,21 +15,29 @@ coefficients it carries.  The inverse of the transition matrix, whose fill
 can be many times that of the factors, is never formed.  Coordinates are
 unique, since only the inserted vectors that enlarged the span receive
 any.
+
+Every update, in reduction, insertion and substitution, is one s − c·g
+through `coeff.sub_mul`, the saxpy of Golub & Van Loan sec. 1.1: fused
+into a single kernel pass when all three are LaurentFractions, and
+`s - c * g` for any other field element, so the solver stays generic.
 """
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
+from .coeff import sub_mul
 from .errors import InternalInvariantError
 
 
 def vec_sub_scaled(a, b, f):
     """a - f*b."""
-    out = dict(a)
+    return _sub_scaled_into(dict(a), b, f)
+
+
+def _sub_scaled_into(out, b, f):
+    """out - f*b, updating out in place and returning it."""
     for k, c in b.items():
-        s = out.get(k)
-        t = c * f
-        s = -t if s is None else s - t
+        s = sub_mul(out.get(k), c, f)
         if s:
             out[k] = s
         else:
@@ -77,21 +85,18 @@ class SpanSolver:
 
     def _reduce(self, vec):
         """The residual of vec against the stored rows and the multiplier of
-        each row subtracted, in the order subtracted."""
-        lower = {}
-        vec = dict(vec)
-        while vec:
-            hit = None
-            for k in vec:
-                if k in self.by_key:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            f = vec[hit]
-            lower[hit] = f
-            vec = vec_sub_scaled(vec, self.by_key[hit], f)
-        return vec, lower
+        each row subtracted, in the order subtracted.
+
+        A stored row is 0 at every other pivot, so subtracting it leaves
+        vec's entries at the other pivot keys as they are: the multipliers
+        are those entries, taken in vec's key order, and one working copy
+        takes every subtraction."""
+        by_key = self.by_key
+        lower = {k: f for k, f in vec.items() if k in by_key}
+        out = dict(vec)
+        for k, f in lower.items():
+            _sub_scaled_into(out, by_key[k], f)
+        return out, lower
 
     def insert(self, vec):
         residual, lower = self._reduce(vec)
@@ -152,25 +157,23 @@ class SpanSolver:
                 terms = ((c, upper.get(p)) for p, c in coeffs.items())
             for c, g in terms:
                 if c is not None and g is not None:
-                    t = c * g
-                    s = -t if s is None else s - t
+                    s = sub_mul(s, c, g)
             if not s:
                 continue
             x = s * inv
             out.append((idx, x))
             for p, c in low.items():
-                t = c * x
                 r = coeffs.get(p)
                 if r is None:
                     # a row new to coeffs makes its own and earlier steps due
-                    coeffs[p] = -t
+                    coeffs[p] = sub_mul(None, c, x)
                     later = users[p]
                     for q in (p, *later[: bisect_left(later, here)]):
                         if q not in due:
                             due.add(q)
                             heappush(heap, -q)
                     continue
-                r = r - t
+                r = sub_mul(r, c, x)
                 if r:
                     coeffs[p] = r
                 else:

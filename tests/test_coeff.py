@@ -21,6 +21,7 @@ from cellular_towers.coeff import (
     divexact,
     poly_gcd,
     specialize,
+    sub_mul,
 )
 from cellular_towers.errors import CoefficientRingError, SpecializationError
 
@@ -494,6 +495,49 @@ def test_laurent_fraction_with_rational_function_operand(data):
                      (x * f, rx * f), (f * x, f * rx), (x / f, rx / f)):
         _agrees(got, ref, RationalFunction)
     assert (x == f) is False and (f == x) is False
+
+
+def _same(got, want):
+    """got is want structurally: the same type and the same parts."""
+    assert type(got) is type(want)
+    if type(want) is LaurentFraction:
+        assert (got.vars, got.terms, got.c, got.k) == (want.vars, want.terms, want.c, want.k)
+    else:
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sub_mul_is_s_minus_a_times_b(data):
+    """The fused update against `s - a * b` (`-(a * b)` for s None): with
+    c up to 12 and k up to 3 on each operand, factors of ±1 on either side,
+    a zero operand and s = 0, and a RationalFunction operand anywhere,
+    which takes the fallback."""
+    vars = data.draw(st.sampled_from([QV, DV, QZV]))
+    s, a, b = (data.draw(laurent_fractions(vars))[0] for _ in range(3))
+    one = LaurentFraction(LaurentPoly.one(vars))
+    zero = LaurentFraction(LaurentPoly.zero(vars))
+    f = RationalFunction(LaurentPoly.one(vars), COFACTORS[vars])
+    cases = [(s, a, b), (None, a, b), (s, a, a), (zero, a, b), (s, zero, b), (None, a, zero)]
+    for u in (one, -one):
+        cases += [(s, a, u), (s, u, b), (None, a, u), (None, u, b), (zero, u, b), (s, u, u)]
+    cases += [(s, f, b), (s, a, f), (f, a, b), (None, f, b), (None, a, f), (f, one, f)]
+    for x, y, w in cases:
+        _same(sub_mul(x, y, w), -(y * w) if x is None else x - y * w)
+
+
+def test_sub_mul_brings_operands_to_a_common_denominator():
+    """s over 4·(q² − 1), and a·b over 6·(q² − 1)³ until one q² − 1
+    cancels: the difference is over 12·(q² − 1)²."""
+    q, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
+    s = LaurentFraction(q * z + 3, 4, 1)
+    a = LaurentFraction(q - 1, 2, 2)
+    b = LaurentFraction((q + 1) * z ** -1, 3, 1)
+    got = sub_mul(s, a, b)
+    _same(got, s - a * b)
+    assert (got.c, got.k) == (12, 2)
+    with pytest.raises(CoefficientRingError):
+        sub_mul(s, a, LaurentFraction(LaurentPoly.one(QV)))
 
 
 def test_laurent_fraction_canonical_forms():

@@ -7,6 +7,8 @@ reference is field-generic, and over Q(q) it runs on RationalFunction
 entries: the systems' own, or those equal to their LaurentFraction entries.  Coordinates are unique whenever they exist (only the
 vectors that enlarged the span get any), so it is enough that `express`
 puts them on those vectors only and rebuilds the vector it was given.
+Reduction is also checked against the rescanning loop it replaced, key
+order included.
 """
 
 from fractions import Fraction
@@ -149,7 +151,33 @@ def rebuild(coords, rows):
     return vec
 
 
+def reduce_reference(solver, vec):
+    """The residual and multipliers by rescanning: subtract the row of the
+    first pivot key left in the vector until none is left, one copy per
+    step."""
+    lower = {}
+    vec = dict(vec)
+    while vec:
+        hit = next((k for k in vec if k in solver.by_key), None)
+        if hit is None:
+            break
+        f = vec[hit]
+        lower[hit] = f
+        vec = vec_sub_scaled(vec, solver.by_key[hit], f)
+    return vec, lower
+
+
+def check_reduce(solver, vec):
+    """`_reduce` agrees with the rescanning loop, key order included: the
+    residual's order picks the pivot when the solver has no pivot key."""
+    residual, lower = solver._reduce(vec)
+    ref_residual, ref_lower = reduce_reference(solver, vec)
+    assert list(residual.items()) == list(ref_residual.items())
+    assert list(lower.items()) == list(ref_lower.items())
+
+
 def check_query(solver, rows, new, vec, n_keys, ring):
+    check_reduce(solver, vec)
     inside = ref_rank(rows + [vec], n_keys, ring) == ref_rank(rows, n_keys, ring)
     coords = solver.express(vec)
     if not inside:
@@ -168,6 +196,7 @@ def insert_all(solver, rows, done, n_keys, ring):
     against the reference and return the indices that were new."""
     new = set()
     for j, vec in enumerate(rows[done:], start=done):
+        check_reduce(solver, vec)
         status, payload = solver.insert(vec)
         grew = ref_rank(rows[: j + 1], n_keys, ring) > ref_rank(rows[:j], n_keys, ring)
         assert (status, payload) == (("new", j) if grew else ("dep", None))
@@ -204,6 +233,22 @@ def test_row_brought_in_by_a_lower_factor_is_undone():
     for vec in ({"a": one, "b": one}, {"b": one}, {"a": one, "c": one}):
         solver.insert(vec)
     assert solver.express({"c": one}) == {0: -one, 1: one, 2: one}
+
+
+def test_reduction_keeps_the_rescanning_order():
+    """Rows p+x and r+y+x, then the vector r+p: subtracting the rows in the
+    vector's key order appends y before x, and with no pivot key the first
+    residual key becomes the next pivot."""
+    one = RationalFunction.one(())
+    solver = SpanSolver()
+    solver.insert({"p": one, "x": one})
+    solver.insert({"r": one, "y": one, "x": one})
+    vec = {"r": one, "p": one}
+    check_reduce(solver, vec)
+    residual, lower = solver._reduce(vec)
+    assert list(residual) == ["y", "x"] and list(lower) == ["r", "p"]
+    solver.insert(vec)
+    assert solver.pivots[-1][0] == "y"
 
 
 @settings(max_examples=60, deadline=None)
