@@ -8,7 +8,8 @@ stored, and no function mutates a map it is given: term maps are shared.
 Products build their exponent tuples directly for one and two variables
 (Z[δ] and Q(q) have one, Q(q, z) has two); other arities add exponents
 through `zip`.  A one-term operand is an injective shift, so its product
-is a single comprehension with no cancellation test.  `terms_submul`
+is a single comprehension with no cancellation test; a longer one adds
+its terms' shifts of the other operand one by one.  `terms_submul`
 returns acc − a·b in one pass over the term pairs, without building a·b:
 the sparse saxpy update of every solver (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors",
@@ -64,14 +65,14 @@ def _shift(a, exp, k):
     return {tuple(x + y for x, y in zip(e, exp)): c * k for e, c in a.items()}
 
 
-def _sub_shifted(out, b, exp, k):
-    """out − k*x^exp·b, accumulated into out, which is returned."""
+def _add_shifted(out, b, exp, k):
+    """Add k*x^exp·b into out, in place."""
     n = len(exp)
     if n == 1:
         (e,) = exp
         for (y,), cb in b.items():
             key = (y + e,)
-            s = out.get(key, 0) - k * cb
+            s = out.get(key, 0) + k * cb
             if s:
                 out[key] = s
             else:
@@ -80,54 +81,19 @@ def _sub_shifted(out, b, exp, k):
         e0, e1 = exp
         for (y0, y1), cb in b.items():
             key = (y0 + e0, y1 + e1)
-            s = out.get(key, 0) - k * cb
+            s = out.get(key, 0) + k * cb
             if s:
                 out[key] = s
             else:
                 del out[key]
     else:
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(eb, exp))
-            s = out.get(key, 0) - k * cb
+            key = tuple(x + y for x, y in zip(exp, eb))
+            s = out.get(key, 0) + k * cb
             if s:
                 out[key] = s
             else:
                 del out[key]
-    return out
-
-
-def _add_products(out, a, b):
-    """out + a·b, accumulated into out, which is returned; a and b are
-    nonempty."""
-    n = len(next(iter(a)))
-    if n == 1:
-        for (x,), ca in a.items():
-            for (y,), cb in b.items():
-                key = (x + y,)
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    elif n == 2:
-        for (x0, x1), ca in a.items():
-            for (y0, y1), cb in b.items():
-                key = (x0 + y0, x1 + y1)
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    else:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return out
 
 
 def terms_mul(a, b):
@@ -138,7 +104,10 @@ def terms_mul(a, b):
     if len(a) == 1:
         ((exp, k),) = a.items()
         return _shift(b, exp, k)
-    return _add_products({}, a, b)
+    out = {}
+    for exp, k in a.items():
+        _add_shifted(out, b, exp, k)
+    return out
 
 
 def terms_mul_monomial(a, exp, k):
@@ -152,9 +121,10 @@ def terms_submul(acc, a, b):
         return dict(acc)
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
+    if len(a) == 1 and not acc:
         ((exp, k),) = a.items()
-        if not acc:
-            return _shift(b, exp, -k)
-        return _sub_shifted(dict(acc), b, exp, k)
-    return _add_products(dict(acc), {e: -c for e, c in a.items()}, b)
+        return _shift(b, exp, -k)
+    out = dict(acc)
+    for exp, k in a.items():
+        _add_shifted(out, b, exp, -k)
+    return out
