@@ -55,7 +55,7 @@ from .coeff import (
 from .diagrams import BrauerDiagram, DiagramElement, brauer_basis, double_factorial_odd
 from .errors import BoundExceededError, DomainError, InternalInvariantError, max_level
 from .hecke import HeckeElement, reduced_word
-from .linalg import SpanSolver
+from .linalg import SpanSolver, acc
 
 # tokens: +i is g_i, -i is e_i
 P_ONE = LaurentPoly.one(QZDV)
@@ -125,15 +125,6 @@ def _instantiate(tmpl, m):
     return tuple(out)
 
 
-def _acc(d, k, c):
-    s = d.get(k)
-    s = c if s is None else s + c
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
-
-
 _REDUCE_MEMO = {}
 _REDUCE_BUDGET = 5_000_000
 
@@ -169,7 +160,7 @@ def _reduce(word, budget):
         right = _reduce(word[p + 1 :], budget)
         for u, cu in left.items():
             for v, cv in right.items():
-                _acc(out, u + (word[p],) + v, cu * cv)
+                acc(out, u + (word[p],) + v, cu * cv)
         _REDUCE_MEMO[word] = out
         return out
     p1, p2 = pos[0], pos[1]
@@ -191,7 +182,7 @@ def _reduce(word, budget):
         for tmpl, c2 in LOCAL_TABLE[(akind, mid, bkind)]:
             w2 = word[:p1] + u + _instantiate(tmpl, m) + v + word[p2 + 1 :]
             for w3, c3 in _reduce(w2, budget).items():
-                _acc(out, w3, c * c2 * c3)
+                acc(out, w3, c * c2 * c3)
     _REDUCE_MEMO[word] = out
     return out
 
@@ -302,7 +293,7 @@ class _Enumeration:
             out = {}
             for word, c in rel:
                 for u, x in self._prefix_image(memo, word).items():
-                    _acc(out, u, x * c)
+                    acc(out, u, x * c)
             if out:
                 self._coincide(out)
                 if self.table[v] is None:
@@ -328,7 +319,7 @@ class _Enumeration:
                 c = out.pop(k, None)
                 if c is not None:
                     for j, y in elim[k].items():
-                        _acc(out, j, c * y)
+                        acc(out, j, c * y)
             dead = [k for k in out if k in elim]
         return out
 
@@ -348,7 +339,7 @@ class _Enumeration:
                 if normed is not img:
                     img = row[token] = normed
             for w, x in img.items():
-                _acc(out, w, c * x)
+                acc(out, w, c * x)
         return out
 
     def _apply(self, vec, word):
@@ -372,7 +363,7 @@ class _Enumeration:
             for t, img in row.items():
                 diff = self._act(combo, t, True)
                 for k, c in img.items():
-                    _acc(diff, k, -c)
+                    acc(diff, k, -c)
                 queue.append(diff)
 
 
@@ -435,7 +426,7 @@ class _Model:
         out = {}
         for i, c in coords.items():
             for j, r in rows[i].items():
-                _acc(out, j, c * r)
+                acc(out, j, c * r)
         return out
 
     def mult_rows(self, d):
@@ -456,7 +447,7 @@ class _Model:
         out = {}
         for i, c in coords.items():
             for j, r in self.star_rows[i].items():
-                _acc(out, j, c * r)
+                acc(out, j, c * r)
         return out
 
     def word_coords(self, word):
@@ -481,20 +472,20 @@ class _Model:
         def mul(a, b):
             out = []
             for row in a:
-                acc = {}
+                prod = {}
                 for k, c in row.items():
                     for j, r in b[k].items():
-                        _acc(acc, j, c * r)
-                out.append(acc)
+                        acc(prod, j, c * r)
+                out.append(prod)
             return out
 
         def add(a, b, f=F_ONE):
             out = []
             for r1, r2 in zip(a, b):
-                acc = dict(r1)
+                total = dict(r1)
                 for j, c in r2.items():
-                    _acc(acc, j, c * f)
-                out.append(acc)
+                    acc(total, j, c * f)
+                out.append(total)
             return out
 
         def scale(a, f):
@@ -603,7 +594,7 @@ class BMWElement:
         coords = {i: c * f for i, c in m.word_coords(word).items()}
         words = {}
         for w, c in reduce_word(word).items():
-            _acc(words, w, c * coeff)
+            acc(words, w, c * coeff)
         return cls(n, coords, words)
 
     @classmethod
@@ -630,12 +621,12 @@ class BMWElement:
             return NotImplemented
         coords = dict(self.coords)
         for i, c in other.coords.items():
-            _acc(coords, i, c)
+            acc(coords, i, c)
         words = None
         if self.words is not None and other.words is not None:
             words = dict(self.words)
             for w, c in other.words.items():
-                _acc(words, w, c)
+                acc(words, w, c)
         return BMWElement(self.n, coords, words)
 
     def __sub__(self, other):
@@ -670,7 +661,7 @@ class BMWElement:
             words = {}
             for w, c in self.words.items():
                 for w2, c2 in reduce_word(w + (token,)).items():
-                    _acc(words, w2, c * c2)
+                    acc(words, w2, c * c2)
         return BMWElement(self.n, m.times_token(self.coords, token), words)
 
     def __mul__(self, other):
@@ -684,14 +675,14 @@ class BMWElement:
             rows = m.mult_rows(m.keys[i])
             for j, cj in self.coords.items():
                 for k, r in rows[j].items():
-                    _acc(coords, k, cj * r * c)
+                    acc(coords, k, cj * r * c)
         words = None
         if self.words is not None and other.words is not None:
             words = {}
             for w1, c1 in self.words.items():
                 for w2, c2 in other.words.items():
                     for w3, c3 in reduce_word(w1 + w2).items():
-                        _acc(words, w3, c1 * c2 * c3)
+                        acc(words, w3, c1 * c2 * c3)
         return BMWElement(self.n, coords, words)
 
     def __rmul__(self, other):
@@ -706,7 +697,7 @@ class BMWElement:
             words = {}
             for w, c in self.words.items():
                 for w2, c2 in reduce_word(tuple(reversed(w))).items():
-                    _acc(words, w2, c * c2)
+                    acc(words, w2, c * c2)
         return BMWElement(self.n, m.star(self.coords), words)
 
     def embed(self, n):
@@ -782,24 +773,16 @@ def bmw_lift_branching(lam, mu, i, n=None):
 def bmw_to_hecke(x):
     """The quotient map killing the e-generated ideal: g_v + (e) -> T_v.
 
-    Coefficients land in Q(q, z) (the Hecke algebra over the same ground
-    field)."""
-    out = HeckeElement(x.n)
-    if x.words is not None:
-        for w, c in x.words.items():
-            if any(t < 0 for t in w):
-                continue
-            el = HeckeElement.one(x.n).times_word([t for t in w])
-            out = out + el.map_coefficients(
-                lambda p: delta_eliminate(p) * delta_eliminate(c)
-            )
-        return out
+    A lift that is not a permutation diagram contains some e_i, and a
+    permutation's lift is g along a reduced word, so the coordinates map
+    term by term.  Coefficients land in Q(q, z) (the Hecke algebra over the
+    same ground field)."""
     m = bmw_model(x.n)
-    for i, c in x.coords.items():
-        d = m.keys[i]
-        if d.is_permutation():
-            out = out + HeckeElement(x.n, {d.permutation(): c})
-    return out
+    return HeckeElement(x.n, {
+        m.keys[i].permutation(): c
+        for i, c in x.coords.items()
+        if m.keys[i].is_permutation()
+    })
 
 
 def bmw_to_brauer(x):

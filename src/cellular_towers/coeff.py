@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from functools import cache, reduce
 from math import gcd as int_gcd
-from operator import add, sub
+from operator import add
 
 from ._kernel import (
     terms_add,
@@ -256,8 +256,11 @@ class LaurentPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # equal to an int, a LaurentFraction and a RationalFunction of the
+        # same value, so it hashes as the fraction it equals
         if self._hash is None:
-            self._hash = hash((self.vars, tuple(sorted(self.terms.items()))))
+            zero = (0,) * len(self.vars)
+            self._hash = _fraction_hash(*_monomial_fraction(self.vars, self.terms, zero, 1))
         return self._hash
 
     def __bool__(self):
@@ -656,8 +659,6 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
-            return _monomial_sum(self, o, terms_add)
         if self.den == o.den:
             return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -668,8 +669,6 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
-            return _monomial_sum(self, o, terms_sub)
         if self.den == o.den:
             return RationalFunction(self.num - o.num, self.den)
         return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
@@ -696,19 +695,6 @@ class RationalFunction:
         u = _unit_sign(self)
         if u:
             return o if u > 0 else -o
-        if len(self.den.terms) == 1 and len(o.den.terms) == 1:
-            # monomial denominators: no cross-reduction, one canonicalization
-            (e1, c1), = self.den.terms.items()
-            (e2, c2), = o.den.terms.items()
-            return RationalFunction(
-                *_monomial_fraction(
-                    self.vars,
-                    terms_mul(self.num.terms, o.num.terms),
-                    tuple(map(add, e1, e2)),
-                    c1 * c2,
-                ),
-                _reduced=True,
-            )
         # cross-reduce first; keeps intermediate gcds small
         a, b = _reduce_fraction(self.num, o.den)
         c, d = _reduce_fraction(o.num, self.den)
@@ -799,10 +785,11 @@ def _unit_sign(f):
 
 def _fraction_hash(num, den):
     """The hash of a canonical fraction; an integer's own hash when it is one,
-    since fractions compare equal to ints."""
+    since fractions compare equal to ints.  It reads the term maps, so
+    LaurentPoly can hash through it."""
     if den.is_one() and not any(e for t in num.terms for e in t):
         return hash(num.terms.get((0,) * len(num.vars), 0))
-    return hash((num, den))
+    return hash((num.vars, frozenset(num.terms.items()), frozenset(den.terms.items())))
 
 
 def _fraction_str(num, den):
@@ -842,26 +829,6 @@ def _monomial_fraction(vars, terms, exp, c):
     else:
         terms = {e: k // g for e, k in terms.items()}
     return LaurentPoly._raw(vars, terms), den
-
-
-def _monomial_sum(a, b, combine):
-    """a ± b for two canonical fractions with monomial denominators.
-
-    `combine` is `terms_add` or `terms_sub`; it is applied over the least
-    common monomial denominator.
-    """
-    (ea, ca), = a.den.terms.items()
-    (eb, cb), = b.den.terms.items()
-    exp = tuple(map(max, ea, eb))
-    c = ca // int_gcd(ca, cb) * cb
-    ta, tb = a.num.terms, b.num.terms
-    if ea != exp or ca != c:
-        ta = terms_mul_monomial(ta, tuple(map(sub, exp, ea)), c // ca)
-    if eb != exp or cb != c:
-        tb = terms_mul_monomial(tb, tuple(map(sub, exp, eb)), c // cb)
-    return RationalFunction(
-        *_monomial_fraction(a.vars, combine(ta, tb), exp, c), _reduced=True
-    )
 
 
 def _reduce_fraction(num, den):

@@ -25,12 +25,6 @@ def is_partition(lam):
     )
 
 
-def check_partition(lam):
-    if not is_partition(lam):
-        raise DomainError(f"{lam!r} is not a partition")
-    return lam
-
-
 @cache
 def partitions_of(n):
     """All partitions of n, in descending lexicographic order.

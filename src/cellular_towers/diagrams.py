@@ -5,7 +5,7 @@ Vertices of an n-strand diagram are the ints 1..n (top row) and -1..-n
 tuple of sorted pairs; a partition diagram is a set partition stored as a
 sorted tuple of sorted blocks.  The order is `_vkey`'s: tops 1..n, then
 bottoms -1..-n.  Elements are finitely supported coefficient maps over
-Z[delta].
+Z[delta], `linalg.SparseElement`s whose product is diagram composition.
 
 Composition stacks d1 over d2 (top of the product = top of d1), removing
 closed middle components; each removed component contributes a factor
@@ -40,6 +40,7 @@ from functools import cache
 from .coeff import DELTA, DV, LaurentPoly
 from .errors import DomainError
 from .hecke import SymmetricGroupElement
+from .linalg import SparseElement, acc
 
 DELTA_POLY = LaurentPoly.gen(DV, DELTA)
 DONE = LaurentPoly.one(DV)
@@ -469,14 +470,10 @@ def double_factorial_odd(n):
 # ---------------------------------------------------------------------------
 
 
-class DiagramElement:
+class DiagramElement(SparseElement):
     """Finitely supported map diagram -> LaurentPoly in delta."""
 
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def from_diagram(cls, d, coeff=DONE):
@@ -485,30 +482,6 @@ class DiagramElement:
     @classmethod
     def one(cls, n, kind=BrauerDiagram):
         return cls(n, {kind.identity(n): DONE})
-
-    def __add__(self, other):
-        if not isinstance(other, DiagramElement) or other.n != self.n:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return DiagramElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, f):
-        if not f:
-            return DiagramElement(self.n)
-        return DiagramElement(self.n, {d: c * f for d, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, DiagramElement):
@@ -519,42 +492,16 @@ class DiagramElement:
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d, loops = d1.compose(d2)
-                c = c1 * c2 * DELTA_POLY ** loops if loops else c1 * c2
-                s = out.get(d)
-                s = c if s is None else s + c
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return DiagramElement(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, DiagramElement):
-            return NotImplemented
-        return self.scale(other)
+                acc(out, d, c1 * c2 * DELTA_POLY ** loops if loops else c1 * c2)
+        return DiagramElement._raw(self.n, out)
 
     def star(self):
-        return DiagramElement(self.n, {d.star(): c for d, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagramElement)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted((str(d), c) for d, c in self.coeffs.items()))))
+        return self.map_keys(lambda d: d.star())
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c})*[{d}]" for d, c in sorted(self.coeffs.items(), key=lambda x: str(x[0])))
-
-    __repr__ = __str__
 
     def to_json(self):
         return {
@@ -576,19 +523,10 @@ def quotient_to_symmetric(x):
     out = {}
     for d, c in x.coeffs.items():
         if d.is_permutation():
-            w = d.permutation()
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return SymmetricGroupElement(x.n, out)
+            acc(out, d.permutation(), c)
+    return SymmetricGroupElement._raw(x.n, out)
 
 
 def symmetric_to_diagrams(g, kind=BrauerDiagram):
     """The section sending a group-algebra element to permutation diagrams."""
-    out = {}
-    for w, c in g.coeffs.items():
-        out[kind.from_permutation(w)] = c
-    return DiagramElement(g.n, out)
+    return DiagramElement(g.n, {kind.from_permutation(w): c for w, c in g.coeffs.items()})

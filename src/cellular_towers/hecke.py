@@ -1,5 +1,9 @@
 """The Iwahori-Hecke algebra of the symmetric group in the T basis.
 
+Its elements, and those of the group algebra of S_n at q = 1, are
+`linalg.SparseElement` maps permutation -> coefficient; this module adds
+their products, the involution and the tower inclusion.
+
 Murphy cellular basis machinery: m_lambda sums, the basis T_w(s)* m_lambda
 T_w(t), branching coefficients for restriction and induction, Garnir
 elements, the restriction filtration of cell modules, and the q = 1
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .coeff import Q, QV, LaurentFraction, LaurentPoly, RationalFunction, specialize
+from .coeff import Q, QV, LaurentPoly, RationalFunction, specialize
 from .combinatorics import (
     garnir_tableau,
     partitions_of,
@@ -36,7 +40,7 @@ from .combinatorics import (
     tableau_type_map,
 )
 from .errors import DomainError, InternalInvariantError
-from .linalg import SpanSolver
+from .linalg import SparseElement, SpanSolver, acc
 
 QPOLY = LaurentPoly.gen(QV, Q)
 QINV = LaurentPoly.gen(QV, Q, -1)
@@ -120,22 +124,14 @@ def apply_perm_to_tableau(tab, w):
 # ---------------------------------------------------------------------------
 
 
-class HeckeElement:
+class HeckeElement(SparseElement):
     """Finitely supported map permutation -> coefficient, in the T basis.
 
     Coefficients may live in Z[q, q^-1] or any fraction field coercing with
     it; all stored coefficients are nonzero.
     """
 
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if c:
-                    self.coeffs[w] = c
+    __slots__ = ()
 
     @classmethod
     def one(cls, n):
@@ -155,30 +151,6 @@ class HeckeElement:
     def t_perm(cls, n, w):
         return cls(n, {tuple(w): QONE})
 
-    def __add__(self, other):
-        if not isinstance(other, HeckeElement) or other.n != self.n:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return HeckeElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HeckeElement(self.n, {w: -c for w, c in self.coeffs.items()})
-
-    def scale(self, f):
-        if not f:
-            return HeckeElement(self.n)
-        return HeckeElement(self.n, {w: c * f for w, c in self.coeffs.items()})
-
     def times_gen(self, i):
         """Right multiplication by T_i."""
         if not 1 <= i <= self.n - 1:
@@ -186,13 +158,11 @@ class HeckeElement:
         out = {}
         for w, c in self.coeffs.items():
             ws = perm_mul(w, perm_s(i, self.n))
-            # l(w s_i) > l(w) iff the value i appears before the value i+1
-            if w.index(i) < w.index(i + 1):
-                _acc(out, ws, c)
-            else:
-                _acc(out, ws, c)
-                _acc(out, w, c * TWIST)
-        return HeckeElement(self.n, out)
+            acc(out, ws, c)
+            # l(w s_i) < l(w) iff the value i+1 appears before the value i
+            if w.index(i) > w.index(i + 1):
+                acc(out, w, c * TWIST)
+        return HeckeElement._raw(self.n, out)
 
     def times_gen_inv(self, i):
         """Right multiplication by T_i^{-1} = T_i - (q - q^{-1})."""
@@ -221,42 +191,21 @@ class HeckeElement:
             return out
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.scale(other)
-
     def star(self):
         """The involution T_v -> T_{v^{-1}}."""
-        return HeckeElement(self.n, {perm_inv(w): c for w, c in self.coeffs.items()})
+        return self.map_keys(perm_inv)
 
     def embed(self, n):
         """Image under the tower inclusion H_self.n -> H_n."""
         if n < self.n:
             raise DomainError("cannot embed downward")
         pad = tuple(range(self.n + 1, n + 1))
-        return HeckeElement(n, {w + pad: c for w, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
-
-    def map_coefficients(self, f):
-        return HeckeElement(self.n, {w: f(c) for w, c in self.coeffs.items()})
+        return self.map_keys(lambda w: w + pad, n)
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c})*T{list(w)}" for w, c in sorted(self.coeffs.items()))
-
-    __repr__ = __str__
 
     def to_json(self):
         return {
@@ -266,15 +215,6 @@ class HeckeElement:
                 for w, c in sorted(self.coeffs.items())
             },
         }
-
-
-def _acc(d, k, c):
-    s = d.get(k)
-    s = c if s is None else s + c
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +293,6 @@ def murphy_basis(n):
     datum = _datum(n)
     labels = _tableau_labels(n)
     return tuple((*labels[k], datum.elements[k]) for k in datum.index)
-
-
-def _vector(x):
-    """The T-basis coefficients of x as field elements, for the solvers."""
-    of = LaurentFraction.of
-    return {w: of(c, QV) for w, c in x.coeffs.items()}
 
 
 def murphy_basis_json(n):
@@ -597,7 +531,7 @@ def permutation_module_report(mu, n=None):
     solver = SpanSolver(pivot_key=pivot_key)
     key_index = []
     for j, lam, S, t, el in basis:
-        status, _ = solver.insert(_vector(el))
+        status, _ = solver.insert(el.vector(QV))
         if status != "new":
             return {"free": False}
         key_index.append((j, lam, t))
@@ -612,7 +546,7 @@ def permutation_module_report(mu, n=None):
     }
     for j, lam, S, t, el in basis:
         for i in range(1, n):
-            coords = solver.express(_vector(el.times_gen(i)))
+            coords = solver.express(el.times_gen(i).vector(QV))
             if coords is None:
                 return {"free": True, "module_rank_matches": False,
                         "filtration_stable": False, "subquotients_match": False}
@@ -635,10 +569,10 @@ def permutation_module_report(mu, n=None):
     ]
     cosets = SpanSolver(pivot_key=pivot_key)
     module_rank_matches = (
-        solver.express(_vector(mmu)) is not None
+        solver.express(mmu.vector(QV)) is not None
         and len(reps) == len(basis)
         and all(
-            cosets.insert(_vector(mmu.times_word(reduced_word(d))))[0] == "new"
+            cosets.insert(mmu.times_word(reduced_word(d)).vector(QV))[0] == "new"
             for d in reps
         )
     )
@@ -657,70 +591,38 @@ def permutation_module_report(mu, n=None):
 # ---------------------------------------------------------------------------
 
 
-class SymmetricGroupElement:
+class SymmetricGroupElement(SparseElement):
     """An element of the group algebra of S_n (exact coefficients)."""
 
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def one(cls, n, unit):
         return cls(n, {perm_id(n): unit})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            _acc(out, w, c)
-        return SymmetricGroupElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f):
-        return SymmetricGroupElement(self.n, {w: c * f for w, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if not isinstance(other, SymmetricGroupElement):
             return self.scale(other)
+        if other.n != self.n:
+            raise DomainError("rank mismatch")
         out = {}
         for w1, c1 in self.coeffs.items():
             for w2, c2 in other.coeffs.items():
-                _acc(out, perm_mul(w1, w2), c1 * c2)
-        return SymmetricGroupElement(self.n, out)
+                acc(out, perm_mul(w1, w2), c1 * c2)
+        return SymmetricGroupElement._raw(self.n, out)
 
     def star(self):
-        return SymmetricGroupElement(self.n, {perm_inv(w): c for w, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetricGroupElement)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
+        return self.map_keys(perm_inv)
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c})*{list(w)}" for w, c in sorted(self.coeffs.items()))
 
-    __repr__ = __str__
-
 
 def symmetric_group_specialize(x):
     """Set q := 1; lands in the group algebra with rational coefficients."""
     one = RationalFunction.one(())
-    out = {}
-    for w, c in x.coeffs.items():
-        val = specialize(c, {Q: one}, ())
-        if val:
-            _acc(out, w, val)
-    return SymmetricGroupElement(x.n, out)
+    return SymmetricGroupElement(
+        x.n, {w: specialize(c, {Q: one}, ()) for w, c in x.coeffs.items()}
+    )

@@ -20,12 +20,17 @@ Every update, in reduction, insertion and substitution, is one s − c·g
 through `coeff.sub_mul`, the saxpy of Golub & Van Loan sec. 1.1: fused
 into a single kernel pass when all three are LaurentFractions, and
 `s - c * g` for any other field element, so the solver stays generic.
+
+The algebra elements of the Hecke, group-algebra and diagram towers are
+the same kind of sparse map, key to nonzero coefficient: `SparseElement`
+holds one, and `acc` is the single accumulate step every element product
+and sum goes through.
 """
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
-from .coeff import sub_mul
+from .coeff import LaurentFraction, sub_mul
 from .errors import InternalInvariantError
 
 
@@ -49,6 +54,100 @@ def vec_scale(a, f):
     if not f:
         return {}
     return {k: c * f for k, c in a.items()}
+
+
+def acc(out, key, c):
+    """out[key] += c, dropping the key when the sum is 0."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class SparseElement:
+    """A finitely supported map key -> nonzero coefficient, an element of a
+    rank-n algebra.  Subclasses give the keys their meaning and define the
+    product; sums, scalar multiples, equality and hashing are shared.  Only
+    elements of one class and one rank add or compare equal.
+    """
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n, coeffs=None):
+        self.n = n
+        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
+
+    @classmethod
+    def _raw(cls, n, coeffs):
+        """Trusted constructor: `coeffs` is a fresh map of nonzero values."""
+        self = object.__new__(cls)
+        self.n = n
+        self.coeffs = coeffs
+        return self
+
+    def _same_algebra(self, other):
+        return other.__class__ is self.__class__ and other.n == self.n
+
+    def __add__(self, other):
+        if not self._same_algebra(other):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc(out, k, c)
+        return self._raw(self.n, out)
+
+    def __sub__(self, other):
+        if not self._same_algebra(other):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc(out, k, -c)
+        return self._raw(self.n, out)
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, f):
+        if not f:
+            return self._raw(self.n, {})
+        return self._raw(self.n, {k: c * f for k, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, SparseElement):
+            return NotImplemented
+        return self.scale(other)
+
+    def map_coefficients(self, f):
+        """The element with coefficients f(c); zeros are dropped."""
+        return self.__class__(self.n, {k: f(c) for k, c in self.coeffs.items()})
+
+    def map_keys(self, f, n=None):
+        """The element with keys f(k), at rank n (default: this rank);
+        f must be injective on the support."""
+        return self._raw(
+            self.n if n is None else n, {f(k): c for k, c in self.coeffs.items()}
+        )
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def vector(self, vars):
+        """The coefficients as field elements over `vars`, for the solvers."""
+        of = LaurentFraction.of
+        return {k: of(c, vars) for k, c in self.coeffs.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.coeffs.items())))
+
+    def __repr__(self):
+        return str(self)
 
 
 class SpanSolver:

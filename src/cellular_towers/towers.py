@@ -18,7 +18,7 @@ import itertools
 import math
 from functools import cache
 
-from .coeff import DV, QV, QZV, LaurentFraction
+from .coeff import DV, QV, QZV
 from .combinatorics import partition_half_levels, singleton_chain, young_lattice
 from .diagrams import (
     BrauerDiagram,
@@ -37,7 +37,6 @@ from .errors import DomainError
 from .hecke import (
     HeckeElement,
     SymmetricGroupElement,
-    _vector as _hecke_vector,
     added_node,
     d_branching,
     m_lambda,
@@ -72,6 +71,9 @@ class _TowerBase:
     def include(self, x, from_level, to_level):
         return x.embed(to_level)
 
+    def vector(self, x):
+        return x.vector(self.field_vars)
+
     def strands(self, n):
         return n
 
@@ -102,11 +104,7 @@ class _DiagramTowerBase(_TowerBase):
         s = self.strands(to_level)
         if x.n == s:
             return x
-        return DiagramElement(s, {d.pad(s): c for d, c in x.coeffs.items()})
-
-    def vector(self, x):
-        of = LaurentFraction.of
-        return {d: of(c, DV) for d, c in x.coeffs.items()}
+        return x.map_keys(lambda d: d.pad(s), s)
 
     def element_of_key(self, key, n):
         return DiagramElement.from_diagram(key)
@@ -382,9 +380,6 @@ class HeckeTower(_TowerBase):
 
     def generators(self, n):
         return [(f"T{i}", HeckeElement.t_gen(n, i)) for i in range(1, n)]
-
-    def vector(self, x):
-        return _hecke_vector(x)
 
     def key_str(self, key):
         return ",".join(map(str, key))

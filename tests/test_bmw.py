@@ -11,7 +11,6 @@ import pytest
 from cellular_towers import bmw
 from cellular_towers.bmw import (
     BMWElement,
-    _acc,
     _Model,
     _relation_list,
     bmw_lift_branching,
@@ -42,7 +41,7 @@ from cellular_towers.errors import BoundExceededError, DomainError, InternalInva
 from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
 from cellular_towers.framework import cellular_basis
-from cellular_towers.linalg import SpanSolver
+from cellular_towers.linalg import SpanSolver, acc
 
 QP = LaurentPoly.gen(QZDV, "q")
 F_ONE = RationalFunction.one(QZV)
@@ -74,7 +73,7 @@ def _step(vec, token):
     out = {}
     for w, c in vec.items():
         for w2, c2 in _reduce_f(w + (token,)).items():
-            _acc(out, w2, c * c2)
+            acc(out, w2, c * c2)
     return out
 
 
@@ -89,7 +88,7 @@ def _trace(vec, relation):
     for word, c in relation:
         c = _rf(c)
         for w, cw in _apply_word(vec, word).items():
-            _acc(out, w, cw * c)
+            acc(out, w, cw * c)
     return out
 
 

@@ -240,6 +240,22 @@ def test_divexact_is_exact_or_raises(data):
     assert quot * b == a * b + r
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_laurent_poly_hashes_as_the_fraction_it_equals(data):
+    """A LaurentPoly equals the LaurentFraction, the RationalFunction and,
+    when constant, the int of its value, so it hashes as they do."""
+    vars = data.draw(st.sampled_from([QV, QZV, DV]))
+    p = data.draw(laurent_polys(vars))
+    f, r = LaurentFraction.of(p, vars), RationalFunction.from_poly(p)
+    assert p == f and p == r
+    assert hash(p) == hash(f) == hash(r)
+    assert len({p, f, r}) == 1
+    k = data.draw(st.integers(-5, 5))
+    const = LaurentPoly.const(vars, k)
+    assert const == k and hash(const) == hash(k)
+
+
 def test_json_round_trip():
     rng = random.Random(29)
     for _ in range(20):

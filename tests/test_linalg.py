@@ -16,8 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import QV, LaurentFraction, LaurentPoly, RationalFunction
-from cellular_towers.errors import InternalInvariantError
+from cellular_towers.coeff import QV, Q, LaurentFraction, LaurentPoly, RationalFunction
+from cellular_towers.diagrams import DELTA_POLY, BrauerDiagram, DiagramElement
+from cellular_towers.errors import DomainError, InternalInvariantError
+from cellular_towers.hecke import QONE, HeckeElement, SymmetricGroupElement
 from cellular_towers.linalg import SpanSolver, vec_sub_scaled
 
 # pivot orders: the first residual key, or the lowest under a sort key
@@ -287,3 +289,50 @@ def test_det_unit_matches_reference(data):
         return
     got = solver.det_unit(order)
     assert (to_fraction(got) if ring == "const" else got) == det
+
+
+# ---------------------------------------------------------------------------
+# the sparse elements of the Hecke, group-algebra and diagram towers
+# ---------------------------------------------------------------------------
+
+CYCLE = (2, 3, 1)  # not an involution, so star moves it
+
+
+def _hecke(n):
+    q = LaurentPoly.gen(QV, Q)
+    return HeckeElement.t_perm(n, CYCLE + tuple(range(4, n + 1))).scale(q) + HeckeElement.one(n)
+
+
+def _group(n):
+    return SymmetricGroupElement(n, {CYCLE + tuple(range(4, n + 1)): 2}) + (
+        SymmetricGroupElement.one(n, QONE)
+    )
+
+
+def _diagram(n):
+    cycle = DiagramElement.from_diagram(BrauerDiagram.from_permutation(CYCLE).pad(n))
+    return cycle + DiagramElement.from_diagram(BrauerDiagram.e(1, n), DELTA_POLY)
+
+
+ELEMENTS = {"hecke": _hecke, "group": _group, "diagram": _diagram}
+
+
+@pytest.mark.parametrize("kind", ELEMENTS)
+def test_sparse_element_contract(kind):
+    x, y = ELEMENTS[kind](3), ELEMENTS[kind](4)
+    with pytest.raises(TypeError):
+        x + y
+    with pytest.raises(TypeError):
+        x - y
+    with pytest.raises(DomainError):
+        x * y
+    for zero in (x - x, x.scale(0), x + (-x)):
+        assert zero.is_zero() and zero.coeffs == {} and zero.n == 3
+    assert x.star() != x and x.star().star() == x
+    assert hash(x.star().star()) == hash(x)
+    for other, make in ELEMENTS.items():
+        if other != kind:
+            assert x != make(3)
+    # the same keys and coefficients in another class are another element
+    ones = [HeckeElement.one(3), SymmetricGroupElement.one(3, QONE)]
+    assert ones[0].coeffs == ones[1].coeffs and ones[0] != ones[1]
