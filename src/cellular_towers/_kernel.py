@@ -3,17 +3,18 @@
 A term map is a dict sending exponent vectors (tuples of ints, possibly
 negative) to nonzero Python ints.  These functions are the hot inner loop
 of every algebra computation in the package.  Zero coefficients are never
-stored, and no function mutates a map it is given: term maps are shared.
+stored, and no `terms_*` function mutates a map it is given: term maps
+are shared.
 
 Products build their exponent tuples directly for one and two variables
 (Z[δ] and Q(q) have one, Q(q, z) has two); other arities add exponents
 through `zip`.  A one-term operand is an injective shift, so its product
 is a single comprehension with no cancellation test; a longer one adds
-its terms' shifts of the other operand one by one.  `terms_submul`
-returns acc − a·b in one pass over the term pairs, without building a·b:
-the sparse saxpy update of every solver (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors",
-CASC 2007).
+its terms' shifts of the other operand one by one.  `_add_shifted` adds
+one such shift into a map in place; the solvers' accumulator
+(`coeff._acc_submul`) sums every update s − a·b through it without
+building a·b: the sparse saxpy of Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007.
 """
 
 KERNEL = "python"
@@ -66,7 +67,7 @@ def _shift(a, exp, k):
 
 
 def _add_shifted(out, b, exp, k):
-    """Add k*x^exp·b into out, in place."""
+    """Add k*x^exp·b into out, in place (out is the caller's own map)."""
     n = len(exp)
     if n == 1:
         (e,) = exp
@@ -113,18 +114,3 @@ def terms_mul(a, b):
 def terms_mul_monomial(a, exp, k):
     """a * k*x^exp; exp is an exponent tuple, k a nonzero int."""
     return _shift(a, exp, k)
-
-
-def terms_submul(acc, a, b):
-    """acc − a·b as a new map; a·b is never built and acc is not mutated."""
-    if not a or not b:
-        return dict(acc)
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1 and not acc:
-        ((exp, k),) = a.items()
-        return _shift(b, exp, -k)
-    out = dict(acc)
-    for exp, k in a.items():
-        _add_shifted(out, b, exp, -k)
-    return out

@@ -31,8 +31,8 @@ No confluence of any rewriting system is assumed.  `reduce_word` rewrites
 a g/e word into the span of words in which each generator index occurs at
 most once at the top level (the classical inductive spanning set), using a
 twelve-case local relation table, with coefficients polynomial in
-Z[q^{±1}, z^{±1}, delta]; it serves the word representation that elements
-carry for the specialization maps.
+Z[q^{±1}, z^{±1}, delta]; it serves the word representation that
+`bmw_to_brauer` reads, which an element forms only when it is read.
 """
 
 from __future__ import annotations
@@ -564,14 +564,57 @@ def bmw_model(n):
 class BMWElement:
     """Coordinates over the rank-n normal forms, with an optional parallel
     word representation carrying exact Z[q^{±1}, z^{±1}, delta]
-    coefficients (used by the specialization maps)."""
+    coefficients, which `bmw_to_brauer` reads: delta cannot be read back
+    from Q(q, z) coordinates at q = z = 1.
 
-    __slots__ = ("n", "coords", "words")
+    `words` is None when an element has no word representation (one built
+    from coordinates, or scaled by a value outside that ring).  Only
+    `from_word` and `one` build their maps at once.  Every other operation
+    stores, in `_words`, how its map follows from its operands' maps, and
+    the map is formed on the first read of `words`, so products that are
+    only expressed never rewrite a word.  Until then a result keeps its
+    operands alive."""
+
+    __slots__ = ("n", "coords", "_words")
 
     def __init__(self, n, coords=None, words=None):
         self.n = n
         self.coords = {i: c for i, c in (coords or {}).items() if c}
-        self.words = words
+        self._words = words
+
+    @property
+    def words(self):
+        """{word: coefficient}, or None; formed on first read."""
+        if self._words.__class__ is tuple:
+            # form the pending maps this one needs, innermost first, with an
+            # explicit stack, so that a long chain of sums cannot recurse
+            stack = [self]
+            while stack:
+                x = stack[-1]
+                pending = x._words
+                if pending.__class__ is not tuple:
+                    stack.pop()
+                    continue
+                form, operands = pending
+                todo = [y for y in operands if y._words.__class__ is tuple]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                x._words = form(*(y._words for y in operands))
+        return self._words
+
+    def _then(self, form, other=None):
+        """The pending words of a result, (form, operands): formed as
+        form(self.words) or form(self.words, other.words); None when an
+        operand has no words."""
+        if self._words is None:
+            return None
+        if other is None:
+            return form, (self,)
+        if other._words is None:
+            return None
+        return form, (self, other)
 
     # -- constructors ----------------------------------------------------------
 
@@ -622,12 +665,7 @@ class BMWElement:
         coords = dict(self.coords)
         for i, c in other.coords.items():
             acc(coords, i, c)
-        words = None
-        if self.words is not None and other.words is not None:
-            words = dict(self.words)
-            for w, c in other.words.items():
-                acc(words, w, c)
-        return BMWElement(self.n, coords, words)
+        return BMWElement(self.n, coords, self._then(_words_sum, other))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -643,11 +681,7 @@ class BMWElement:
         if isinstance(f, LaurentPoly):
             fp = f.extend_vars(QZDV) if f.vars != QZDV else f
             ff = delta_eliminate(fp)
-            words = (
-                None
-                if self.words is None
-                else {w: p for w, c in self.words.items() if (p := c * fp)}
-            )
+            words = self._then(lambda w: {u: p for u, c in w.items() if (p := c * fp)})
         else:
             ff = f
             words = None
@@ -656,12 +690,7 @@ class BMWElement:
 
     def times_token(self, token):
         m = bmw_model(self.n)
-        words = None
-        if self.words is not None:
-            words = {}
-            for w, c in self.words.items():
-                for w2, c2 in reduce_word(w + (token,)).items():
-                    acc(words, w2, c * c2)
+        words = self._then(lambda w: _words_rewritten(w, lambda u: u + (token,)))
         return BMWElement(self.n, m.times_token(self.coords, token), words)
 
     def __mul__(self, other):
@@ -676,14 +705,7 @@ class BMWElement:
             for j, cj in self.coords.items():
                 for k, r in rows[j].items():
                     acc(coords, k, cj * r * c)
-        words = None
-        if self.words is not None and other.words is not None:
-            words = {}
-            for w1, c1 in self.words.items():
-                for w2, c2 in other.words.items():
-                    for w3, c3 in reduce_word(w1 + w2).items():
-                        acc(words, w3, c1 * c2 * c3)
-        return BMWElement(self.n, coords, words)
+        return BMWElement(self.n, coords, self._then(_words_product, other))
 
     def __rmul__(self, other):
         if isinstance(other, BMWElement):
@@ -692,12 +714,7 @@ class BMWElement:
 
     def star(self):
         m = bmw_model(self.n)
-        words = None
-        if self.words is not None:
-            words = {}
-            for w, c in self.words.items():
-                for w2, c2 in reduce_word(tuple(reversed(w))).items():
-                    acc(words, w2, c * c2)
+        words = self._then(lambda w: _words_rewritten(w, lambda u: u[::-1]))
         return BMWElement(self.n, m.star(self.coords), words)
 
     def embed(self, n):
@@ -710,7 +727,7 @@ class BMWElement:
         coords = {
             m_hi.index[m_lo.keys[i].pad(n)]: c for i, c in self.coords.items()
         }
-        return BMWElement(n, coords, self.words)
+        return BMWElement(n, coords, self._then(lambda w: w))  # shares the map
 
     def is_zero(self):
         return not self.coords
@@ -744,6 +761,31 @@ class BMWElement:
                 for i, c in sorted(self.coords.items())
             ],
         }
+
+
+def _words_sum(w1, w2):
+    out = dict(w1)
+    for w, c in w2.items():
+        acc(out, w, c)
+    return out
+
+
+def _words_product(w1, w2):
+    out = {}
+    for u, cu in w1.items():
+        for v, cv in w2.items():
+            for w, c in reduce_word(u + v).items():
+                acc(out, w, cu * cv * c)
+    return out
+
+
+def _words_rewritten(words, change):
+    """Each word w replaced by reduce_word(change(w))."""
+    out = {}
+    for w, c in words.items():
+        for w2, c2 in reduce_word(change(w)).items():
+            acc(out, w2, c * c2)
+    return out
 
 
 # ---------------------------------------------------------------------------

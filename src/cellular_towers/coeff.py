@@ -30,13 +30,13 @@ from math import gcd as int_gcd
 from operator import add
 
 from ._kernel import (
+    _add_shifted,
     terms_add,
     terms_mul,
     terms_mul_monomial,
     terms_neg,
     terms_scale,
     terms_sub,
-    terms_submul,
 )
 from .errors import CoefficientRingError, SpecializationError
 
@@ -881,8 +881,9 @@ class LaurentFraction:
     c > 1, no exponent shift is made, a factor of ±1 costs no kernel call,
     and q² − 1 is divided out exactly (L vanishing at q = ±1 in every
     column of the other variables, then synthetic division), never through
-    a polynomial gcd.  `sub_mul(s, a, b)`, the solvers' update, computes
-    s − a·b in one kernel pass with the same result.
+    a polynomial gcd.  The solvers sum their updates s − a·b into an
+    accumulator (`_acc_submul`) that keeps L and the denominator apart and
+    normalizes once, with the same result.
 
     Inverting L stays in the type when L is a monomial times
     (q − 1)^a (q + 1)^b, since 1/(q ∓ 1) = (q ± 1)/(q² − 1); inverting any
@@ -1176,59 +1177,107 @@ def _lf_sum(a, b, combine):
     return _lf(a.vars, combine(ta, tb), c, k)
 
 
-def sub_mul(s, a, b):
-    """s − a·b for field elements, s None meaning 0: the update of every
-    solver step, as one operation.
+class _Acc:
+    """A LaurentFraction being summed in place: `terms` / (c·(q² − 1)^k)
+    with no normal form kept between updates.  The accumulator owns
+    `terms` and mutates it; it is true while `terms` is nonempty, so it
+    tests for zero like a field value."""
 
-    When a, b and s are LaurentFractions the result is the canonical value
-    `s - a * b` has, computed without building a·b: a factor of ±1 costs no
-    kernel call, and otherwise s and a·b meet over the least common integer
-    and the larger power of q² − 1, `terms_submul` forms the numerator in
-    one pass, and `_lf` normalizes it once.  Any other operand (a
-    RationalFunction, or a mix) computes `s - a * b` itself.
+    __slots__ = ("vars", "terms", "c", "k")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def _acc_submul(s, a, b):
+    """s − a·b as a working value, s None meaning 0: the update of every
+    solver step.
+
+    When a and b are LaurentFractions or accumulators (a factor is only
+    read) and s is None, a LaurentFraction or an accumulator, the result is
+    an accumulator: s itself, updated in place, or a new one that copies
+    s's terms.  The accumulator moves to the least common integer and the
+    larger power of q² − 1 of itself and a·b, then each term of the smaller
+    factor adds its shift of the other into the numerator through
+    `_add_shifted` (Monagan & Pearce, CASC 2007); a·b is never built and
+    nothing is normalized.  Any other operand (a RationalFunction) makes the
+    result the field value `s - a * b`.  s must not be one of the factors.
     """
+    ca, cb, cs = a.__class__, b.__class__, s.__class__
     if not (
-        a.__class__ is b.__class__ is LaurentFraction
-        and (s is None or s.__class__ is LaurentFraction)
+        (ca is LaurentFraction or ca is _Acc)
+        and (cb is LaurentFraction or cb is _Acc)
+        and (cs is _Acc or cs is LaurentFraction or s is None)
     ):
+        s, a, b = _acc_value(s), _acc_peek(a), _acc_peek(b)
         return -(a * b) if s is None else s - a * b
     vars = a.vars
     if b.vars != vars or (s is not None and s.vars != vars):
         raise CoefficientRingError(f"mismatched indeterminates {a.vars} vs {b.vars}")
     ta, tb = a.terms, b.terms
-    if not ta or not tb:
-        return _lf_raw(vars, {}, 1, 0) if s is None else s
-    u = len(tb) == 1 and _lf_sign(b)
-    if u:
-        p = a
-    else:
-        u = len(ta) == 1 and _lf_sign(a)
-        p = b
-    if u:
-        if s is None:
-            return -p if u > 0 else p
-        return _lf_sum(s, p, terms_sub if u > 0 else terms_add)
     c, k = a.c * b.c, a.k + b.k
-    if s is None or not s.terms:
-        return _lf(vars, terms_submul({}, ta, tb), c, k)
+    if cs is _Acc:
+        acc = s
+        if not acc.terms:
+            # an empty accumulator takes a·b's denominator
+            acc.c, acc.k = c, k
+    else:
+        acc = _new(_Acc)
+        acc.vars = vars
+        if s is None or not s.terms:
+            acc.terms, acc.c, acc.k = {}, c, k
+        elif not ta or not tb:
+            return s
+        else:
+            acc.terms, acc.c, acc.k = dict(s.terms), s.c, s.k
+    if not ta or not tb:
+        return acc
     if len(ta) > len(tb):
         ta, tb = tb, ta
-    acc, cs, ks = s.terms, s.c, s.k
-    if cs != c:
-        m = cs // int_gcd(cs, c) * c
-        if cs != m:
-            acc = terms_scale(acc, m // cs)
-        if c != m:
-            ta = terms_scale(ta, m // c)
-        c = m
-    if ks != k:
+    m = -1  # a·b's numerator enters times m
+    d = acc.c
+    if d != c:
+        lcm = d // int_gcd(d, c) * c
+        if d != lcm:
+            f = lcm // d
+            terms = acc.terms
+            for e in terms:
+                terms[e] *= f
+            acc.c = lcm
+        m = -(lcm // c)
+    if acc.k != k:
         # over the larger power of q² − 1
-        if ks < k:
-            acc = terms_mul(acc, _q_factor(vars, k - ks, k - ks))
+        d = acc.k - k
+        if d < 0:
+            acc.terms = terms_mul(acc.terms, _q_factor(vars, -d, -d))
+            acc.k = k
         else:
-            ta = terms_mul(ta, _q_factor(vars, ks - k, ks - k))
-            k = ks
-    return _lf(vars, terms_submul(acc, ta, tb), c, k)
+            ta = terms_mul(ta, _q_factor(vars, d, d))
+    terms = acc.terms
+    for e, x in ta.items():
+        _add_shifted(terms, tb, e, m * x)
+    return acc
+
+
+def _acc_value(s):
+    """The field value of a working value, normalized once by `_lf` when it
+    is an accumulator, which is spent; any other value as it is."""
+    if s.__class__ is _Acc:
+        return _lf(s.vars, s.terms, s.c, s.k)
+    return s
+
+
+def _acc_peek(s):
+    """`_acc_value` for an accumulator that stays in use."""
+    if s.__class__ is _Acc:
+        return _lf(s.vars, dict(s.terms), s.c, s.k)
+    return s
+
+
+def sub_mul(s, a, b):
+    """s − a·b for field elements, s None meaning 0, as one operation: one
+    accumulator update, normalized at once.  s, a and b are not mutated."""
+    return _acc_value(_acc_submul(s, a, b))
 
 
 def _q_roots(terms, qi):

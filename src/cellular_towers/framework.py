@@ -218,9 +218,11 @@ class CellDatum:
     def _certify(self):
         """Insert the elements into a fresh solver in `index` order, pivoting
         in the tower's order; set `free` (no element depends on earlier
-        ones) and, when they span A_n, the transition determinant `det`."""
+        ones) and, when they span A_n, the transition determinant `det`.
+        The action rows kept from an earlier solver are dropped."""
         t = self.t
         self.solver = SpanSolver(pivot_key=t.pivot_key(self.n))
+        self._actions = {}  # vertex -> action_rows(vertex)
         self.free = True
         for key in self.index:
             status, _ = self.solver.insert(t.vector(self.elements[key]))
@@ -241,6 +243,14 @@ class CellDatum:
 
     def cell_element(self, vertex, si, ti):
         return self.elements[(vertex, si, ti)]
+
+    def action_rows(self, vertex):
+        """The action of the generators of A_n on the cell module at
+        `vertex`: {label: [row of c_(0,ti) a, for each ti]}, or None when a
+        product leaves the cell ideal.  Computed once per datum."""
+        if vertex not in self._actions:
+            self._actions[vertex] = _action_rows(self, vertex, self.t.generators(self.n))
+        return self._actions[vertex]
 
     def cell_row(self, vertex, si, ti, a):
         """Row si of c_(si,ti) a in the cell of `vertex`, and its leaks.
@@ -660,7 +670,7 @@ def restriction_filtration_a(tower_name, vertex, n):
     # actions of A_{n-1} on the cell module at `vertex` and on those of its
     # predecessors (s fixed to path 0)
     action = _action_rows(datum, vertex, gens)
-    prev_actions = [_action_rows(datum_prev, u, t.generators(n - 1)) for u in preds]
+    prev_actions = [datum_prev.action_rows(u) for u in preds]
     if action is None or None in prev_actions:
         return {"pass": False, "reason": "action left the cell ideal"}
     report = {

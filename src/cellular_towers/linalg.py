@@ -16,10 +16,13 @@ can be many times that of the factors, is never formed.  Coordinates are
 unique, since only the inserted vectors that enlarged the span receive
 any.
 
-Every update, in reduction, insertion and substitution, is one s − c·g
-through `coeff.sub_mul`, the saxpy of Golub & Van Loan sec. 1.1: fused
-into a single kernel pass when all three are LaurentFractions, and
-`s - c * g` for any other field element, so the solver stays generic.
+Reduction and substitution sum their updates s − c·g, the saxpy of
+Golub & Van Loan sec. 1.1, into working values (`coeff._acc_submul`): a
+LaurentFraction coefficient becomes a term map over a running common
+denominator, updated in place and normalized once, when it becomes a
+residual entry or a step's value; any other field element computes
+`s - c * g`, so the solver stays generic.  A stored row's own pivot entry
+always cancels, so it is never computed.
 
 The algebra elements of the Hecke, group-algebra and diagram towers are
 the same kind of sparse map, key to nonzero coefficient: `SparseElement`
@@ -30,24 +33,32 @@ and sum goes through.
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
-from .coeff import LaurentFraction, sub_mul
+from .coeff import LaurentFraction, _acc_submul, _acc_value
 from .errors import InternalInvariantError
 
 
-def vec_sub_scaled(a, b, f):
-    """a - f*b."""
-    return _sub_scaled_into(dict(a), b, f)
+def _eliminate(out, subtractions):
+    """out − f·row for each (row, pivot, f) of `subtractions` in turn, in
+    a new dict; the working copy `out` is consumed.
 
-
-def _sub_scaled_into(out, b, f):
-    """out - f*b, updating out in place and returning it."""
-    for k, c in b.items():
-        s = sub_mul(out.get(k), c, f)
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    Each row is 1 at `pivot`, the very key object under which the row holds
+    that entry, and out must not hold the key: its entry f − f·1 cancels
+    exactly, so it is dropped instead of computed.  Every other entry
+    is updated in place through `_acc_submul` and normalized once at the
+    end.  An entry that cancels is dropped when it does, so the keys keep
+    the order that subtracting the rows one by one gives them."""
+    for row, pivot, f in subtractions:
+        for key, c in row.items():
+            if key is pivot:
+                continue
+            s = out.get(key)
+            r = _acc_submul(s, c, f)
+            if not r:
+                if s is not None:
+                    del out[key]
+            elif r is not s:
+                out[key] = r
+    return {key: _acc_value(s) for key, s in out.items()}
 
 
 def vec_scale(a, f):
@@ -189,13 +200,16 @@ class SpanSolver:
         A stored row is 0 at every other pivot, so subtracting it leaves
         vec's entries at the other pivot keys as they are: the multipliers
         are those entries, taken in vec's key order, and one working copy
-        takes every subtraction."""
-        by_key = self.by_key
-        lower = {k: f for k, f in vec.items() if k in by_key}
-        out = dict(vec)
-        for k, f in lower.items():
-            _sub_scaled_into(out, by_key[k], f)
-        return out, lower
+        of the rest takes every subtraction."""
+        by_key, pos, pivots = self.by_key, self._pos, self.pivots
+        lower, out = {}, {}
+        for k, f in vec.items():
+            if k in by_key:
+                lower[k] = f
+            else:
+                out[k] = f
+        rows = ((by_key[k], pivots[pos[k]][0], f) for k, f in lower.items())
+        return _eliminate(out, rows), lower
 
     def insert(self, vec):
         residual, lower = self._reduce(vec)
@@ -217,7 +231,9 @@ class SpanSolver:
         for k, r in list(self.by_key.items()):
             g = r.get(pivot)
             if g is not None:
-                self.by_key[k] = vec_sub_scaled(r, row, g)
+                r = dict(r)
+                del r[pivot]
+                self.by_key[k] = _eliminate(r, ((row, pivot, g),))
                 upper[pos[k]] = g
                 users[pos[k]].append(here)
         self.by_key[pivot] = row
@@ -251,32 +267,35 @@ class SpanSolver:
             s = coeffs.pop(here, None)
             # the rows both in upper and in coeffs, found from the smaller
             if len(upper) <= len(coeffs):
-                terms = ((coeffs.get(p), g) for p, g in upper.items())
+                for p, g in upper.items():
+                    c = coeffs.get(p)
+                    if c is not None:
+                        s = _acc_submul(s, c, g)
             else:
-                terms = ((c, upper.get(p)) for p, c in coeffs.items())
-            for c, g in terms:
-                if c is not None and g is not None:
-                    s = sub_mul(s, c, g)
+                for p, c in coeffs.items():
+                    g = upper.get(p)
+                    if g is not None:
+                        s = _acc_submul(s, c, g)
             if not s:
                 continue
-            x = s * inv
+            x = _acc_value(s) * inv
             out.append((idx, x))
             for p, c in low.items():
                 r = coeffs.get(p)
                 if r is None:
                     # a row new to coeffs makes its own and earlier steps due
-                    coeffs[p] = sub_mul(None, c, x)
+                    coeffs[p] = _acc_submul(None, c, x)
                     later = users[p]
                     for q in (p, *later[: bisect_left(later, here)]):
                         if q not in due:
                             due.add(q)
                             heappush(heap, -q)
                     continue
-                r = sub_mul(r, c, x)
-                if r:
-                    coeffs[p] = r
-                else:
+                t = _acc_submul(r, c, x)
+                if not t:
                     del coeffs[p]
+                elif t is not r:
+                    coeffs[p] = t
         return dict(reversed(out))
 
     def contains(self, vec):

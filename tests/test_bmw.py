@@ -433,3 +433,67 @@ def test_associativity_sample_n3():
     for _ in range(40):
         a, b, c = (els[rng.choice(keys)] for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+# eager word maps, formed the way every operation formed them before the
+# words became lazy
+
+
+def _eager_rewritten(words, change):
+    out = {}
+    for w, c in words.items():
+        for w2, c2 in reduce_word(change(w)).items():
+            acc(out, w2, c * c2)
+    return out
+
+
+def _eager_product(w1, w2):
+    out = {}
+    for u, cu in w1.items():
+        for v, cv in w2.items():
+            for w, c in reduce_word(u + v).items():
+                acc(out, w, cu * cv * c)
+    return out
+
+
+def _eager_sum(w1, w2):
+    out = dict(w1)
+    for w, c in w2.items():
+        acc(out, w, c)
+    return out
+
+
+def test_words_are_formed_on_first_read(monkeypatch):
+    """Products, sums, scalings, stars, tokens and embeddings rewrite no
+    word until `words` is read; then the maps, and the Brauer images read
+    from them, equal the eager ones."""
+    rng = random.Random(12)
+    xs = [BMWElement.from_word(3, rand_word(rng, 3)) for _ in range(6)]
+    calls = []
+    rewrite = bmw.reduce_word
+    monkeypatch.setattr(bmw, "reduce_word", lambda w: calls.append(w) or rewrite(w))
+    for x, y in zip(xs[::2], xs[1::2]):
+        p = x * y
+        chain = (p + x.scale(QP)).star().times_token(-1) - y
+        wide = chain.embed(4)
+        assert calls == []
+        want_p = _eager_product(x.words, y.words)
+        scaled = {w: c * QP for w, c in x.words.items()}
+        want = _eager_rewritten(_eager_sum(want_p, scaled), lambda w: w[::-1])
+        want = _eager_rewritten(want, lambda w: w + (-1,))
+        want = _eager_sum(want, {w: -c for w, c in y.words.items()})
+        for got, expected in ((p, want_p), (wide, want), (chain, want)):
+            assert got.words == expected
+            eager = BMWElement(got.n, got.coords, expected)
+            assert bmw_to_brauer(got) == bmw_to_brauer(eager)
+        assert calls
+        calls.clear()
+        assert bmw_to_brauer(p) == bmw_to_brauer(x) * bmw_to_brauer(y)
+    # no word map without an operand's map, and a long sum reads without
+    # deep recursion
+    assert (xs[0] * BMWElement(3, xs[1].coords)).words is None
+    total = BMWElement.one(3)
+    for _ in range(3000):
+        total = total + xs[0]
+    times = {w: c * 3000 for w, c in xs[0].words.items()}
+    assert total.words == _eager_sum(BMWElement.one(3).words, times)

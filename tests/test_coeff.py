@@ -542,6 +542,57 @@ def test_sub_mul_is_s_minus_a_times_b(data):
         _same(sub_mul(x, y, w), -(y * w) if x is None else x - y * w)
 
 
+def _working(x, pad):
+    """An accumulator equal to x whose denominator is not in normal form:
+    0 − x·(−1), then pad·1 − pad·1 over pad's c and k."""
+    one = LaurentFraction(LaurentPoly.one(x.vars))
+    w = coeff._acc_submul(None, x, -one)
+    w = coeff._acc_submul(w, pad, one)
+    return coeff._acc_submul(w, -pad, one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_accumulator_matches_folded_updates(data):
+    """Several updates summed into one accumulator and normalized once
+    against `s - a * b` folded one update at a time, over DV, QV and QZV:
+    c up to 12 and k up to 3 on each operand, factors of ±1, sums that
+    cancel to zero, factors that are accumulators themselves, and
+    RationalFunction operands, after which the sum is a field value."""
+    vars = data.draw(st.sampled_from([QV, DV, QZV]))
+    fractions = laurent_fractions(vars).map(lambda pair: pair[0])
+    one = LaurentFraction(LaurentPoly.one(vars))
+    f = RationalFunction(LaurentPoly.one(vars), COFACTORS[vars])
+    s = data.draw(st.one_of(st.none(), fractions))
+    kept = None if s is None else dict(s.terms)
+    updates = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        a, b = data.draw(fractions), data.draw(fractions)
+        kind = data.draw(st.sampled_from(["plain", "unit", "working", "rational"]))
+        if kind == "unit":
+            unit = data.draw(st.sampled_from([one, -one]))
+            a, b = data.draw(st.sampled_from([(a, unit), (unit, b)]))
+        elif kind == "rational" and data.draw(st.integers(0, 3)) == 0:
+            a = f
+        updates.append((a, b, kind == "working"))
+    if data.draw(st.booleans()):
+        # cancel every update again, and s too
+        updates += [(-a, b, w) for a, b, w in updates]
+        if s is not None:
+            updates.append((s, one, False))
+    ref, work = s, s
+    for a, b, working in updates:
+        ref = -(a * b) if ref is None else ref - a * b
+        factor = _working(a, data.draw(fractions)) if working and type(a) is LaurentFraction else a
+        work = coeff._acc_submul(work, factor, b)
+        if factor is not a:
+            # a factor is read, never spent
+            _same(coeff._acc_value(factor), a)
+    _same(coeff._acc_value(work), ref)
+    if s is not None:
+        assert s.terms == kept
+
+
 def test_sub_mul_brings_operands_to_a_common_denominator():
     """s over 4·(q² − 1), and a·b over 6·(q² − 1)³ until one q² − 1
     cancels: the difference is over 12·(q² − 1)²."""

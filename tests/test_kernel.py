@@ -5,7 +5,8 @@ drops zeros at the end, the plainest reading of Laurent-polynomial
 arithmetic.  Inputs have one, two or three variables and negative
 exponents, and some are built to cancel to zero.  Every kernel must store
 no zero coefficient and leave its inputs as they were: term maps are
-shared between values.
+shared between values; only `_add_shifted` adds into a map, the one it
+is given to fill.
 """
 
 from copy import deepcopy
@@ -13,13 +14,13 @@ from copy import deepcopy
 from hypothesis import given, settings, strategies as st
 
 from cellular_towers._kernel import (
+    _add_shifted,
     terms_add,
     terms_mul,
     terms_mul_monomial,
     terms_neg,
     terms_scale,
     terms_sub,
-    terms_submul,
 )
 
 
@@ -52,6 +53,15 @@ def ref_mul(a, b):
             e = tuple(x + y for x, y in zip(ea, eb))
             acc[e] = acc.get(e, 0) + ca * cb
     return clean(acc)
+
+
+def terms_submul(acc, a, b):
+    """acc − a·b summed into a copy of acc by `_add_shifted`, one shift per
+    term of a, as the solvers' accumulator does in place."""
+    out = dict(acc)
+    for exp, k in a.items():
+        _add_shifted(out, b, exp, -k)
+    return out
 
 
 def checked(fn, *maps_and_args):

@@ -3,50 +3,59 @@
 Systems over the constants are also run through the reference as
 `fractions.Fraction` matrices, so their ranks, memberships and
 determinants do not depend on the package's coefficient arithmetic.  The
-reference is field-generic, and over Q(q) it runs on RationalFunction
-entries: the systems' own, or those equal to their LaurentFraction entries.  Coordinates are unique whenever they exist (only the
-vectors that enlarged the span get any), so it is enough that `express`
-puts them on those vectors only and rebuilds the vector it was given.
-Reduction is also checked against the rescanning loop it replaced, key
-order included.
+reference is field-generic, and over Q(q) and Z[δ] it runs on
+RationalFunction entries: the systems' own, or those equal to their
+LaurentFraction entries.  Coordinates are unique whenever they exist
+(only the vectors that enlarged the span get any), so it is enough that
+`express` puts them on those vectors only and rebuilds the vector it was
+given.  Reduction is also checked against the rescanning loop it
+replaced, and `express` against substitution with one `s - c * g` per
+update, key order included.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import QV, Q, LaurentFraction, LaurentPoly, RationalFunction
+from cellular_towers.coeff import DV, QV, Q, LaurentFraction, LaurentPoly, RationalFunction
 from cellular_towers.diagrams import DELTA_POLY, BrauerDiagram, DiagramElement
 from cellular_towers.errors import DomainError, InternalInvariantError
 from cellular_towers.hecke import QONE, HeckeElement, SymmetricGroupElement
-from cellular_towers.linalg import SpanSolver, vec_sub_scaled
+from cellular_towers.linalg import SpanSolver
 
 # pivot orders: the first residual key, or the lowest under a sort key
 PIVOT_KEYS = [None, lambda k: -k, lambda k: (k % 2, k)]
 
-# constant fractions, Q(q) as RationalFunction, Q(q) as LaurentFraction
-RINGS = ["const", "q", "lf"]
+# constant fractions, Q(q) as RationalFunction, Q(q) as LaurentFraction,
+# and the integral LaurentFractions every tower's solver sees: Z[q^±1]
+# and Z[δ]
+RINGS = ["const", "q", "lf", "zq", "zd"]
+RING_VARS = {"const": (), "q": QV, "lf": QV, "zq": QV, "zd": DV}
 
 
 @st.composite
 def elements(draw, ring):
     """A nonzero constant fraction; a nonzero element of Q(q) with up to two
     terms over a denominator of up to two terms; or a nonzero Laurent
-    polynomial of up to two terms over an integer.  The last ring's
-    two-term pivots are not monomials, so their inverses are
-    RationalFunctions and the solver mixes the two types."""
+    polynomial of up to two terms over an integer, which is 1 in the
+    integral rings.  Their two-term pivots are not monomials, so their
+    inverses are RationalFunctions (or, over Q(q), fractions with a power
+    of q² − 1) and the solver mixes the types."""
     if ring == "const":
         a = draw(st.integers(-9, 9).filter(bool))
         b = draw(st.integers(1, 5))
         return RationalFunction(LaurentPoly((), {(): a}), LaurentPoly((), {(): b}))
     exps = st.tuples(st.integers(-2, 3))
-    if ring == "lf":
+    if ring != "q":
         # one numerator in four has two terms: enough non-monomial pivots to
         # drive the fallback, few enough that the reference's gcds stay cheap
         size = 2 if draw(st.integers(0, 3)) == 0 else 1
         num = draw(st.dictionaries(exps, st.integers(-4, 4).filter(bool), min_size=size, max_size=size))
-        return LaurentFraction(LaurentPoly(QV, num), draw(st.integers(1, 5)))
+        c = draw(st.integers(1, 5)) if ring == "lf" else 1
+        return LaurentFraction(LaurentPoly(RING_VARS[ring], num), c)
     num = draw(st.dictionaries(exps, st.integers(-4, 4).filter(bool), min_size=1, max_size=2))
     den = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
     return RationalFunction(LaurentPoly(QV, num), LaurentPoly(QV, den))
@@ -93,7 +102,7 @@ def dense(rows, n_keys, ring):
     """Dense matrix of the rows, over Fraction for constant systems."""
     if ring == "const":
         return [[to_fraction(r[k]) if k in r else Fraction(0) for k in range(n_keys)] for r in rows]
-    zero = RationalFunction.zero(QV)
+    zero = RationalFunction.zero(RING_VARS[ring])
     return [[as_rf(r.get(k, zero)) for k in range(n_keys)] for r in rows]
 
 
@@ -103,9 +112,9 @@ def as_rf(c):
 
 
 def one(ring):
-    if ring == "lf":
-        return LaurentFraction(LaurentPoly.one(QV))
-    return RationalFunction.one(QV if ring == "q" else ())
+    if ring in ("const", "q"):
+        return RationalFunction.one(RING_VARS[ring])
+    return LaurentFraction(LaurentPoly.one(RING_VARS[ring]))
 
 
 def gauss_jordan(matrix):
@@ -146,6 +155,19 @@ def ref_rank(rows, n_keys, ring):
 # ---------------------------------------------------------------------------
 
 
+def vec_sub_scaled(a, b, f):
+    """a − f·b with the field's own operators, a key dropped when it
+    cancels."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out[k] - c * f if k in out else -(c * f)
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 def rebuild(coords, rows):
     vec = {}
     for i, c in coords.items():
@@ -169,6 +191,51 @@ def reduce_reference(solver, vec):
     return vec, lower
 
 
+def express_reference(solver, vec):
+    """`express` with every update one `s - c * g` on field values, over
+    the rescanning reduction: the same steps in the same order, so the
+    coordinates come in the same order."""
+    residual, lower = reduce_reference(solver, vec)
+    if residual:
+        return None
+    steps, users = solver._steps, solver._users
+    coeffs = {solver._pos[k]: c for k, c in lower.items()}
+    due = set(coeffs)
+    for p in coeffs:
+        due.update(users[p])
+    heap = [-p for p in due]
+    heapify(heap)
+    out = []
+    while heap:
+        here = -heappop(heap)
+        idx, inv, low, upper = steps[here]
+        s = coeffs.pop(here, None)
+        for p, g in upper.items():
+            c = coeffs.get(p)
+            if c is not None:
+                s = -(c * g) if s is None else s - c * g
+        if not s:
+            continue
+        x = s * inv
+        out.append((idx, x))
+        for p, c in low.items():
+            r = coeffs.get(p)
+            if r is None:
+                coeffs[p] = -(c * x)
+                later = users[p]
+                for q in (p, *later[: bisect_left(later, here)]):
+                    if q not in due:
+                        due.add(q)
+                        heappush(heap, -q)
+                continue
+            r = r - c * x
+            if r:
+                coeffs[p] = r
+            else:
+                del coeffs[p]
+    return dict(reversed(out))
+
+
 def check_reduce(solver, vec):
     """`_reduce` agrees with the rescanning loop, key order included: the
     residual's order picks the pivot when the solver has no pivot key."""
@@ -182,6 +249,10 @@ def check_query(solver, rows, new, vec, n_keys, ring):
     check_reduce(solver, vec)
     inside = ref_rank(rows + [vec], n_keys, ring) == ref_rank(rows, n_keys, ring)
     coords = solver.express(vec)
+    ref = express_reference(solver, vec)
+    assert (coords is None) == (ref is None)
+    if ref is not None:
+        assert list(coords.items()) == list(ref.items())
     if not inside:
         assert coords is None
         assert not solver.contains(vec)
