@@ -22,10 +22,9 @@ The certificate:
 - The image b_0 . w of each canonical lift w is computed without defining
   new vectors, and these images must be independent; they are the basis in
   which the token action (rho) and the anti-involution are read.
-- check_relations() verifies every defining relation on rho, which is the
-  statement that every relator is zero at every basis vector, written in
-  the lift basis.  Its relation set generates the same ideal as the
-  relators (the third relator follows from the first and g e = z^{-1} e).
+- check_relations() applies every relator of `_relation_list(n)` to every
+  basis vector through rho, the token action in the lift basis, and each
+  image must vanish.
 
 No confluence of any rewriting system is assumed.  `reduce_word` rewrites
 a g/e word into the span of words in which each generator index occurs at
@@ -380,7 +379,6 @@ class _Model:
         self.words = {d: w for d, w in forms}
         self.index = {d: i for i, d in enumerate(self.keys)}
         self.tokens = [i for i in range(1, n)] + [-i for i in range(1, n)]
-        self._mult_rows = {}
         self.relations_ok = None
         self._build()
         if not self.check_relations():
@@ -422,97 +420,45 @@ class _Model:
     # -- coordinate operations ------------------------------------------------
 
     def times_token(self, coords, token):
-        rows = self.rho[token]
-        out = {}
-        for i, c in coords.items():
-            for j, r in rows[i].items():
-                acc(out, j, c * r)
-        return out
+        return _times_rows(coords, self.rho[token])
 
-    def mult_rows(self, d):
-        """Right multiplication by the basis element d, as rows."""
-        rows = self._mult_rows.get(d)
-        if rows is None:
-            word = self.words[d]
-            rows = []
-            for i in range(len(self.keys)):
-                vec = {i: F_ONE}
-                for t in word:
-                    vec = self.times_token(vec, t)
-                rows.append(vec)
-            self._mult_rows[d] = rows
-        return rows
+    def apply(self, coords, word):
+        """coords acted on by each token of word in turn."""
+        for t in word:
+            coords = self.times_token(coords, t)
+        return coords
 
     def star(self, coords):
-        out = {}
-        for i, c in coords.items():
-            for j, r in self.star_rows[i].items():
-                acc(out, j, c * r)
-        return out
-
-    def word_coords(self, word):
-        vec = {self.index[BrauerDiagram.identity(self.n)]: F_ONE}
-        for t in word:
-            vec = self.times_token(vec, t)
-        return vec
+        return _times_rows(coords, self.star_rows)
 
     # -- relation certificate ---------------------------------------------------
 
     def check_relations(self):
-        """Verify every defining relation on the restricted action matrices."""
-        if self.relations_ok is not None:
-            return self.relations_ok
-        n = self.n
-        dim = len(self.keys)
-        ident = [{i: F_ONE} for i in range(dim)]
+        """Whether every relator of `_relation_list(n)` vanishes at every
+        basis vector under the token action."""
+        def vanishes(vec, rel):
+            image = {}
+            for word, c in rel:
+                for j, x in self.apply(vec, word).items():
+                    acc(image, j, x * c)
+            return not image
 
-        def mat(token):
-            return self.rho[token]
-
-        def mul(a, b):
-            out = []
-            for row in a:
-                prod = {}
-                for k, c in row.items():
-                    for j, r in b[k].items():
-                        acc(prod, j, c * r)
-                out.append(prod)
-            return out
-
-        def add(a, b, f=F_ONE):
-            out = []
-            for r1, r2 in zip(a, b):
-                total = dict(r1)
-                for j, c in r2.items():
-                    acc(total, j, c * f)
-                out.append(total)
-            return out
-
-        def scale(a, f):
-            return [{j: c * f for j, c in r.items()} for r in a]
-
-        delta = delta_as_qz()
-        ok = True
-        for i in range(1, n):
-            g, e = mat(i), mat(-i)
-            ginv = add(g, add(ident, scale(e, -F_ONE)), -F_TWIST)
-            ok &= mul(g, ginv) == ident and mul(ginv, g) == ident
-            ok &= mul(e, e) == scale(e, delta)
-            ok &= mul(g, e) == scale(e, F_ZI) and mul(e, g) == scale(e, F_ZI)
-        for i in range(1, n - 1):
-            for a, b in ((i, i + 1), (i + 1, i)):
-                ga, gb, ea, eb = mat(a), mat(b), mat(-a), mat(-b)
-                ok &= mul(mul(ga, gb), ga) == mul(mul(gb, ga), gb)
-                ok &= mul(mul(ea, eb), ea) == ea
-                ok &= mul(mul(ga, gb), ea) == mul(eb, ea)
-                ok &= mul(ea, mul(gb, ga)) == mul(ea, eb)
-                ok &= mul(mul(ea, gb), ea) == scale(ea, F_Z)
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                for s, t in ((i, j), (-i, j), (i, -j), (-i, -j)):
-                    ok &= mul(mat(s), mat(t)) == mul(mat(t), mat(s))
-        self.relations_ok = bool(ok)
+        if self.relations_ok is None:
+            self.relations_ok = all(
+                vanishes({i: F_ONE}, rel)
+                for i in range(len(self.keys))
+                for rel in _relation_list(self.n)
+            )
         return self.relations_ok
+
+
+def _times_rows(coords, rows):
+    """A coordinate vector times the matrix whose i-th row is rows[i]."""
+    out = {}
+    for i, c in coords.items():
+        for j, r in rows[i].items():
+            acc(out, j, c * r)
+    return out
 
 
 @cache
@@ -634,7 +580,8 @@ class BMWElement:
         m = bmw_model(n)
         f = delta_eliminate(coeff)
         # the constructor drops the coordinates that vanish
-        coords = {i: c * f for i, c in m.word_coords(word).items()}
+        one = {m.index[BrauerDiagram.identity(n)]: F_ONE}
+        coords = {i: c * f for i, c in m.apply(one, word).items()}
         words = {}
         for w, c in reduce_word(word).items():
             acc(words, w, c * coeff)
@@ -668,6 +615,8 @@ class BMWElement:
         return BMWElement(self.n, coords, self._then(_words_sum, other))
 
     def __sub__(self, other):
+        if not isinstance(other, BMWElement) or other.n != self.n:
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self):
@@ -701,10 +650,8 @@ class BMWElement:
         m = bmw_model(self.n)
         coords = {}
         for i, c in other.coords.items():
-            rows = m.mult_rows(m.keys[i])
-            for j, cj in self.coords.items():
-                for k, r in rows[j].items():
-                    acc(coords, k, cj * r * c)
+            for k, r in m.apply(self.coords, m.words[m.keys[i]]).items():
+                acc(coords, k, r * c)
         return BMWElement(self.n, coords, self._then(_words_product, other))
 
     def __rmul__(self, other):

@@ -1274,12 +1274,6 @@ def _acc_peek(s):
     return s
 
 
-def sub_mul(s, a, b):
-    """s − a·b for field elements, s None meaning 0, as one operation: one
-    accumulator update, normalized at once.  s, a and b are not mutated."""
-    return _acc_value(_acc_submul(s, a, b))
-
-
 def _q_roots(terms, qi):
     """Whether a term map vanishes at q = 1 and at q = -1, q being variable
     qi: every column of the other variables must sum to zero."""

@@ -3,6 +3,7 @@ checked against a reference written here: the cyclic closure of 1 over
 rewritten words, modulo the kernel of every relation traced through that
 closure."""
 
+import copy
 import random
 from functools import cache
 
@@ -143,6 +144,92 @@ def reference_model(n):
     return rho, star_rows
 
 
+# ---------------------------------------------------------------------------
+# matrix references: the relation check and the product, as action matrices
+# ---------------------------------------------------------------------------
+
+
+def _mat_mul(a, b):
+    """The product of two matrices given as lists of sparse rows."""
+    out = []
+    for row in a:
+        prod = {}
+        for k, c in row.items():
+            for j, r in b[k].items():
+                acc(prod, j, c * r)
+        out.append(prod)
+    return out
+
+
+def matrix_relations_hold(rho, n):
+    """Every defining relation checked as an identity of the action
+    matrices rho, written out apart from `_relation_list`; its relation set
+    generates the same ideal as the relators (the quadratic relator follows
+    from g (g − c + c e) = 1 and g e = z⁻¹ e)."""
+    one = bmw.F_ONE
+    dim = len(rho[1])
+    ident = [{i: one} for i in range(dim)]
+
+    def add(a, b, f=one):
+        out = []
+        for r1, r2 in zip(a, b):
+            total = dict(r1)
+            for j, c in r2.items():
+                acc(total, j, c * f)
+            out.append(total)
+        return out
+
+    def scale(a, f):
+        return [{j: c * f for j, c in r.items()} for r in a]
+
+    mul = _mat_mul
+    delta = delta_as_qz()
+    ok = True
+    for i in range(1, n):
+        g, e = rho[i], rho[-i]
+        ginv = add(g, add(ident, scale(e, -one)), -bmw.F_TWIST)
+        ok &= mul(g, ginv) == ident and mul(ginv, g) == ident
+        ok &= mul(e, e) == scale(e, delta)
+        ok &= mul(g, e) == scale(e, bmw.F_ZI) and mul(e, g) == scale(e, bmw.F_ZI)
+    for i in range(1, n - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):
+            ga, gb, ea, eb = rho[a], rho[b], rho[-a], rho[-b]
+            ok &= mul(mul(ga, gb), ga) == mul(mul(gb, ga), gb)
+            ok &= mul(mul(ea, eb), ea) == ea
+            ok &= mul(mul(ga, gb), ea) == mul(eb, ea)
+            ok &= mul(ea, mul(gb, ga)) == mul(ea, eb)
+            ok &= mul(mul(ea, gb), ea) == scale(ea, bmw.F_Z)
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            for s, t in ((i, j), (-i, j), (i, -j), (-i, -j)):
+                ok &= mul(rho[s], rho[t]) == mul(rho[t], rho[s])
+    return bool(ok)
+
+
+@cache
+def _mult_rows(n, d):
+    """Right multiplication by the basis element d, as rows: the matrices
+    of the tokens of d's word, multiplied in turn."""
+    m = bmw_model(n)
+    rows = [{i: bmw.F_ONE} for i in range(len(m.keys))]
+    for t in m.words[d]:
+        rows = _mat_mul(rows, m.rho[t])
+    return rows
+
+
+def rows_product(x, y):
+    """The coordinates of x · y through the rows of each basis diagram in
+    y."""
+    m = bmw_model(x.n)
+    coords = {}
+    for i, c in y.coords.items():
+        rows = _mult_rows(x.n, m.keys[i])
+        for j, cj in x.coords.items():
+            for k, r in rows[j].items():
+                acc(coords, k, cj * r * c)
+    return coords
+
+
 def rand_word(rng, n, maxlen=4):
     toks = [i for i in range(1, n)] + [-i for i in range(1, n)]
     return tuple(rng.choice(toks) for _ in range(rng.randint(0, maxlen)))
@@ -202,6 +289,24 @@ def test_perturbed_action_fails_relations(n):
     m.rho = {**m.rho, 1: rows}
     m.relations_ok = None
     assert not m.check_relations()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_relation_check_matches_matrix_form(n):
+    """The relator check agrees with the matrix form on the model, and on
+    copies whose g_1 or e_1 action has one entry, in the first or the last
+    row, perturbed by 1."""
+    m = bmw_model(n)
+    assert m.check_relations() and matrix_relations_hold(m.rho, n)
+    for token in (1, -1):
+        for r in (0, len(m.keys) - 1):
+            rows = [dict(row) for row in m.rho[token]]
+            k = next(iter(rows[r]))
+            rows[r][k] = rows[r][k] + F_ONE
+            bad = copy.copy(m)
+            bad.rho = {**m.rho, token: rows}
+            bad.relations_ok = None
+            assert (bad.check_relations(), matrix_relations_hold(bad.rho, n)) == (False, False)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -268,23 +373,62 @@ def test_wrong_relation_collapses_and_raises(n, monkeypatch):
 
 
 def test_generator_identities():
-    n = 3
+    # written out by hand, apart from `_relation_list`, which the model's
+    # certificate reads; rank 4 is the first with far commutation
     delta = delta_as_qz()
-    zinv = RationalFunction.gen(QZV, "z").inverse()
-    for i in (1, 2):
-        e = BMWElement.e(n, i)
-        g = BMWElement.g(n, i)
-        assert e * e == e.scale(delta)
-        assert g * BMWElement.g_inv(n, i) == BMWElement.one(n)
-        assert BMWElement.g_inv(n, i) * g == BMWElement.one(n)
-        assert g * e == e.scale(zinv) and e * g == e.scale(zinv)
-    e1, e2 = BMWElement.e(n, 1), BMWElement.e(n, 2)
-    g1, g2 = BMWElement.g(n, 1), BMWElement.g(n, 2)
-    assert e1 * e2 * e1 == e1
-    assert g1 * g2 * g1 == g2 * g1 * g2
-    assert g1 * g2 * e1 == e2 * e1
-    assert e1 * g2 * g1 == e1 * e2
-    assert e1 * g2 * e1 == e1.scale(RationalFunction.gen(QZV, "z"))
+    z = RationalFunction.gen(QZV, "z")
+    zinv = z.inverse()
+    for n in (3, 4):
+        g = {i: BMWElement.g(n, i) for i in range(1, n)}
+        e = {i: BMWElement.e(n, i) for i in range(1, n)}
+        for i in range(1, n):
+            assert e[i] * e[i] == e[i].scale(delta)
+            assert g[i] * BMWElement.g_inv(n, i) == BMWElement.one(n)
+            assert BMWElement.g_inv(n, i) * g[i] == BMWElement.one(n)
+            assert g[i] * e[i] == e[i].scale(zinv) and e[i] * g[i] == e[i].scale(zinv)
+        for i in range(1, n - 1):
+            assert g[i] * g[i + 1] * g[i] == g[i + 1] * g[i] * g[i + 1]
+            for a, b in ((i, i + 1), (i + 1, i)):
+                assert e[a] * e[b] * e[a] == e[a]
+                assert g[a] * g[b] * e[a] == e[b] * e[a]
+                assert e[a] * g[b] * g[a] == e[a] * e[b]
+                assert e[a] * g[b] * e[a] == e[a].scale(z)
+    # far commutation, at rank 4 (g and e are the rank-4 generators now);
+    # adjacent generators do not commute
+    assert g[1] * g[3] == g[3] * g[1]
+    assert e[1] * e[3] == e[3] * e[1]
+    assert g[1] * e[3] == e[3] * g[1]
+    assert e[1] * g[3] == g[3] * e[1]
+    assert g[1] * g[2] != g[2] * g[1] and e[1] * e[2] != e[2] * e[1]
+
+
+def test_product_matches_rows_reference():
+    """x · y, acting on x alone, against the rows of each basis diagram of
+    y: random elements at ranks 3 and 4, and the dense elements of the
+    rank-3 cellular basis, at rank 3 and embedded at rank 4."""
+    rng = random.Random(13)
+    for n, count in ((3, 30), (4, 10)):
+        for _ in range(count):
+            x, y = (
+                BMWElement.from_word(n, rand_word(rng, n))
+                + BMWElement.from_word(n, rand_word(rng, n), QP)
+                for _ in range(2)
+            )
+            assert (x * y).coords == rows_product(x, y)
+    basis = list(cellular_basis("bmw", 3).elements.values())
+    for _ in range(20):
+        x, y = rng.choice(basis), rng.choice(basis)
+        assert (x * y).coords == rows_product(x, y)
+        x, y = x.embed(4), y.embed(4)
+        assert (x * y).coords == rows_product(x, y)
+
+
+def test_subtraction_rejects_other_operands():
+    # an int, or an element of another rank, names the operator it failed
+    g = BMWElement.g(3, 1)
+    for other in (3, BMWElement.g(2, 1)):
+        with pytest.raises(TypeError, match="for -:"):
+            g - other
 
 
 def test_kauffman_skein():
@@ -319,6 +463,7 @@ def test_word_and_coordinate_representations_agree():
     rng = random.Random(7)
     for n, count in ((3, 30), (4, 10)):
         m = bmw_model(n)
+        one = BMWElement.one(n).coords
         for _ in range(count):
             x = BMWElement.from_word(n, rand_word(rng, n))
             y = BMWElement.from_word(n, rand_word(rng, n))
@@ -326,7 +471,7 @@ def test_word_and_coordinate_representations_agree():
             acc = {}
             for w, c in p.words.items():
                 f = delta_eliminate(c)
-                for i, cc in m.word_coords(w).items():
+                for i, cc in m.apply(one, w).items():
                     s = acc.get(i)
                     s = cc * f if s is None else s + cc * f
                     if s:

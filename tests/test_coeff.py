@@ -21,7 +21,6 @@ from cellular_towers.coeff import (
     divexact,
     poly_gcd,
     specialize,
-    sub_mul,
 )
 from cellular_towers.errors import CoefficientRingError, SpecializationError
 
@@ -520,6 +519,12 @@ def _same(got, want):
         assert (got.vars, got.terms, got.c, got.k) == (want.vars, want.terms, want.c, want.k)
     else:
         assert (got.num, got.den) == (want.num, want.den)
+
+
+def sub_mul(s, a, b):
+    """s − a·b for field elements, s None meaning 0, as one accumulator
+    update normalized at once, the way the solvers form each update."""
+    return coeff._acc_value(coeff._acc_submul(s, a, b))
 
 
 @settings(max_examples=200, deadline=None)

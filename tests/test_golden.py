@@ -40,7 +40,10 @@ def test_golden(fname, argv, tmp_path):
 # so they pin LaurentFraction's JSON form.  BMW 2 and 3, recorded while the
 # rank-n model was still built by closing over words and quotienting by a
 # relation kernel, are the only outputs whose denominators are not
-# monomials, so they pin the RationalFunction form over Q(q, z).
+# monomials, so they pin the RationalFunction form over Q(q, z).  BMW 4,
+# recorded while every product still read a cached right-multiplication
+# matrix per basis diagram, is the level where products do the most work;
+# the same under PYTHONHASHSEED 0, 1 and random.
 DIGESTS = [
     ("brauer", 4, "fad2df6c78a88017078c80d08b83e3af2f918716ff6c98f0d7352c3c43000343"),
     ("tl", 6, "d92751e8980ed3a6cb8aa21f56f5842b998947681ae7ea993d9b907eb6160853"),
@@ -50,6 +53,7 @@ DIGESTS = [
     ("hecke", 4, "67e51af887665d96a3116ab8cfb6dfc31fa1dbaa81a34027491e449f13ea66ea"),
     ("bmw", 2, "b5135dbb1dbfc822e472219aa59e6876f69f41209f0ecc10232237ebe43585e9"),
     ("bmw", 3, "a05773493e5f566b884c64fabcef1f6d6f7c15591f465e40b5e35e0bc90bd898"),
+    ("bmw", 4, "6cf79b0bd90e4c015ad1526766449c3c030baf8497d9246ac0fb65f8b79fe8dd"),
 ]
 
 
