@@ -10,8 +10,9 @@ right regular module is enumerated from b_0 = 1 straight from the tokens
 (g_i, e_i) and the defining relators, with coefficients in Q(q, z), where
 delta is eliminated.  Coefficients are LaurentFraction values
 L / (c (q^2 - 1)^k): delta's image has the denominator q^2 - 1, and
-through rank 4 no value needs another, so no polynomial gcd is taken; a
-value outside that ring (first met at rank 5) is a RationalFunction.
+with the solvers pivoting on values that invert in that ring, no value
+through rank 5 needs another, so no polynomial gcd is taken; a value
+outside the ring would be a RationalFunction.
 The certificate:
 
 - The enumerated module is cyclic, generated by b_0, and every
@@ -435,20 +436,27 @@ class _Model:
 
     def check_relations(self):
         """Whether every relator of `_relation_list(n)` vanishes at every
-        basis vector under the token action."""
-        def vanishes(vec, rel):
-            image = {}
-            for word, c in rel:
-                for j, x in self.apply(vec, word).items():
-                    acc(image, j, x * c)
-            return not image
+        basis vector under the token action.  The relators at one vector
+        share the images of their word prefixes, as in `_Enumeration`."""
+        def prefix_image(memo, word):
+            img = memo.get(word)
+            if img is None:
+                img = memo[word] = self.times_token(prefix_image(memo, word[:-1]), word[-1])
+            return img
+
+        def vanishes(i):
+            memo = {(): {i: F_ONE}}
+            for rel in _relation_list(self.n):
+                image = {}
+                for word, c in rel:
+                    for j, x in prefix_image(memo, word).items():
+                        acc(image, j, x * c)
+                if image:
+                    return False
+            return True
 
         if self.relations_ok is None:
-            self.relations_ok = all(
-                vanishes({i: F_ONE}, rel)
-                for i in range(len(self.keys))
-                for rel in _relation_list(self.n)
-            )
+            self.relations_ok = all(vanishes(i) for i in range(len(self.keys)))
         return self.relations_ok
 
 

@@ -870,7 +870,8 @@ class LaurentFraction:
     with the towers' pivot orders nearly every value their solvers touch
     has the form L / c, with k = 0.  The BMW tower lives over Q(q, z) with δ
     eliminated; δ's image has the denominator q² − 1 (`delta_as_qz`), and
-    through rank 4 every value it meets lies in
+    through rank 5, with the solvers pivoting on values that invert in the
+    type (`inverts_in_type`), every value it meets lies in
     Z[q^±1, z^±1][1/(q² − 1)] ⊗ Q.
 
     `terms` is L's term map, shared and never mutated; `c` is an int with
@@ -1001,16 +1002,7 @@ class LaurentFraction:
             return RationalFunction(LaurentPoly.const(vars, c), LaurentPoly._raw(vars, terms))
         # L = m x^e (q − 1)^a (q + 1)^b inverts to
         # (±c x^-e (q − 1)^b (q + 1)^a (q² − 1)^k) / (|m| (q² − 1)^(a + b))
-        qi = vars.index(Q)
-        rest, a, b = terms, 0, 0
-        while len(rest) > 1:
-            at_one, at_minus_one = _q_roots(rest, qi)
-            if at_one:
-                rest, a = _divide_q(rest, qi, 1, 1), a + 1
-            elif at_minus_one:
-                rest, b = _divide_q(rest, qi, 1, -1), b + 1
-            else:
-                break
+        rest, a, b = _split_q_pm1(terms, vars.index(Q))
         factor = _q_factor(vars, k, k)
         if len(rest) == 1:
             (e, m), = rest.items()
@@ -1272,6 +1264,37 @@ def _acc_peek(s):
     if s.__class__ is _Acc:
         return _lf(s.vars, dict(s.terms), s.c, s.k)
     return s
+
+
+def inverts_in_type(x):
+    """Whether x.inverse() has x's own type: for a nonzero LaurentFraction,
+    whether L is a monomial times (q − 1)^a (q + 1)^b, the test `inverse`
+    makes, without building the RationalFunction it would return
+    otherwise; zero does not invert, and any other value passes."""
+    if x.__class__ is not LaurentFraction:
+        return True
+    terms = x.terms
+    if len(terms) == 1:
+        return True
+    if not terms or Q not in x.vars:
+        return False
+    return len(_split_q_pm1(terms, x.vars.index(Q))[0]) == 1
+
+
+def _split_q_pm1(terms, qi):
+    """(rest, a, b) with terms = rest · (q − 1)^a (q + 1)^b, q being
+    variable qi, dividing while rest has more than one term and vanishes
+    at q = 1 or q = −1."""
+    rest, a, b = terms, 0, 0
+    while len(rest) > 1:
+        at_one, at_minus_one = _q_roots(rest, qi)
+        if at_one:
+            rest, a = _divide_q(rest, qi, 1, 1), a + 1
+        elif at_minus_one:
+            rest, b = _divide_q(rest, qi, 1, -1), b + 1
+        else:
+            break
+    return rest, a, b
 
 
 def _q_roots(terms, qi):

@@ -170,15 +170,23 @@ class BrauerDiagram:
         img = {a: -b for a, b in self.pairs}
         return tuple(img[i] for i in range(1, self.n + 1))
 
+    def crossings(self):
+        """The number of pairs of strands that cross, drawn as chords in the
+        boundary order 1 < ... < n < -n < ... < -1; on the diagram of a
+        permutation w it is w's length."""
+        end = 2 * self.n + 1
+        spans = sorted(tuple(sorted(v if v > 0 else end + v for v in p)) for p in self.pairs)
+        # sorted by first endpoint, a later chord crosses an earlier one
+        # exactly when it starts inside it and ends outside it
+        return sum(
+            1
+            for (a1, b1), (a2, b2) in itertools.combinations(spans, 2)
+            if a2 < b1 < b2
+        )
+
     def is_planar(self):
         """Crossing-free in the boundary order 1 < ... < n < -n < ... < -1."""
-        order = {i: i for i in range(1, self.n + 1)}
-        order.update({-i: 2 * self.n + 1 - i for i in range(1, self.n + 1)})
-        spans = [tuple(sorted((order[a], order[b]))) for a, b in self.pairs]
-        for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return False
-        return True
+        return not self.crossings()
 
     def pad(self, n):
         """Add vertical strands to reach n strands."""
@@ -366,6 +374,14 @@ class SetPartitionDiagram:
 
     def propagating(self):
         return sum(1 for b in self.blocks if any(v > 0 for v in b) and any(v < 0 for v in b))
+
+    def propagating_inversions(self):
+        """The pairs of propagating blocks whose first top vertices and first
+        bottom vertices come in opposite orders; on the diagram of a
+        permutation w it is w's length."""
+        # a canonical block lists its tops first, each row in order
+        ends = [(b[0], next(v for v in b if v < 0)) for b in self.blocks if b[0] > 0 > b[-1]]
+        return sum(1 for (_, x), (_, y) in itertools.combinations(ends, 2) if y > x)
 
     def is_permutation(self):
         return all(len(b) == 2 for b in self.blocks) and self.propagating() == self.n

@@ -33,7 +33,7 @@ and sum goes through.
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
-from .coeff import LaurentFraction, _acc_submul, _acc_value
+from .coeff import LaurentFraction, _acc_submul, _acc_value, inverts_in_type
 from .errors import InternalInvariantError
 
 
@@ -168,6 +168,14 @@ class SpanSolver:
     ("dep", None) when it is a combination of previously inserted vectors;
     index counts every insertion, dependent ones included.
 
+    A new row's pivot is the first residual key, in `pivot_key` order when
+    one is given and in the residual's key order otherwise, whose value
+    inverts inside its own type (`coeff.inverts_in_type`), so that a
+    LaurentFraction pivot never turns the row into RationalFunctions; the
+    first key when no value does.  Coordinates over the inserted vectors
+    are unique and the determinant does not depend on the pivots, so the
+    choice changes no answer, only the work.
+
     Each stored row has a 1 at its pivot and 0 at every other pivot.  A new
     row's insertion records, as one step, its lower factor (the multiplier
     of each stored row subtracted while reducing the vector) and its upper
@@ -181,7 +189,7 @@ class SpanSolver:
         self.pivots = []  # (key, pivot entry before normalization), one per row
         self.by_key = {}  # pivot key -> fully reduced row
         self.n_inserted = 0
-        self.pivot_key = pivot_key  # optional sort key; low values picked first
+        self.pivot_key = pivot_key  # optional sort key; low values tried first
         # the factors, one step per row, rows named by their position in
         # pivots: (index, 1/pivot entry, lower, upper) with lower and upper
         # mapping row positions to multipliers
@@ -200,7 +208,8 @@ class SpanSolver:
         A stored row is 0 at every other pivot, so subtracting it leaves
         vec's entries at the other pivot keys as they are: the multipliers
         are those entries, taken in vec's key order, and one working copy
-        of the rest takes every subtraction."""
+        of the rest takes every subtraction, or is the residual itself
+        when vec holds no pivot key."""
         by_key, pos, pivots = self.by_key, self._pos, self.pivots
         lower, out = {}, {}
         for k, f in vec.items():
@@ -208,6 +217,8 @@ class SpanSolver:
                 lower[k] = f
             else:
                 out[k] = f
+        if not lower:
+            return out, lower
         rows = ((by_key[k], pivots[pos[k]][0], f) for k, f in lower.items())
         return _eliminate(out, rows), lower
 
@@ -217,10 +228,10 @@ class SpanSolver:
         self.n_inserted += 1
         if not residual:
             return "dep", None
-        if self.pivot_key is not None:
-            pivot = min(residual, key=self.pivot_key)
-        else:
-            pivot = next(iter(residual))
+        keys = residual if self.pivot_key is None else sorted(residual, key=self.pivot_key)
+        pivot = next((k for k in keys if inverts_in_type(residual[k])), None)
+        if pivot is None:
+            pivot = next(iter(keys))
         f = residual[pivot]
         inv = f.inverse()
         row = vec_scale(residual, inv)

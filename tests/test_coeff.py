@@ -19,6 +19,7 @@ from cellular_towers.coeff import (
     delta_as_qz,
     delta_eliminate,
     divexact,
+    inverts_in_type,
     poly_gcd,
     specialize,
 )
@@ -510,6 +511,21 @@ def test_laurent_fraction_with_rational_function_operand(data):
                      (x * f, rx * f), (f * x, f * rx), (x / f, rx / f)):
         _agrees(got, ref, RationalFunction)
     assert (x == f) is False and (f == x) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverts_in_type_is_the_inverse_staying_in_the_type(data):
+    """The pivot test of the solvers answers what `inverse` would return,
+    for numerators with planted (q ± 1)^a and k ≤ 3; zero does not invert
+    and any other value type passes."""
+    vars = data.draw(st.sampled_from([QV, QZV, DV]))
+    x, rx = data.draw(laurent_fractions(vars))
+    if x:
+        assert inverts_in_type(x) == isinstance(x.inverse(), LaurentFraction)
+    else:
+        assert not inverts_in_type(x)
+    assert inverts_in_type(rx)
 
 
 def _same(got, want):

@@ -26,6 +26,7 @@ from cellular_towers.diagrams import (
     tl_basis,
 )
 from cellular_towers.errors import DomainError
+from cellular_towers.hecke import perm_len
 from cellular_towers.linalg import SpanSolver
 
 D = LaurentPoly.gen(DV, DELTA)
@@ -176,6 +177,29 @@ def test_partition_compose_matches_reference_on_drawn_pairs(data):
     )
 
 
+def test_propagating_inversions():
+    # independent count: the propagating blocks' (min top, min bottom)
+    # pairs, compared two by two
+    def inversions(d):
+        ends = []
+        for b in d.blocks:
+            tops, bottoms = [v for v in b if v > 0], [-v for v in b if v < 0]
+            if tops and bottoms:
+                ends.append((min(tops), min(bottoms)))
+        return sum(
+            1 for (a, x), (b, y) in itertools.combinations(ends, 2) if (a - b) * (x - y) < 0
+        )
+
+    for n in range(4):
+        for d in partition_basis(n):
+            assert d.propagating_inversions() == inversions(d)
+            if d.is_permutation():
+                assert d.propagating_inversions() == perm_len(d.permutation())
+    # blocks of several vertices count by their first top and first bottom
+    d = SetPartitionDiagram(3, [(1, -3), (2, 3, -1, -2)])
+    assert d.propagating_inversions() == 1
+
+
 def test_tl_planarity_against_crossing_oracle():
     # independent crossing check: count pairs interleaving on the circle
     def crossings(d):
@@ -191,7 +215,10 @@ def test_tl_planarity_against_crossing_oracle():
 
     for n in range(5):
         for d in brauer_basis(n):
+            assert d.crossings() == crossings(d)
             assert d.is_planar() == (crossings(d) == 0)
+            if d.is_permutation():
+                assert d.crossings() == perm_len(d.permutation())
 
 
 def test_identity_and_loop_counting():

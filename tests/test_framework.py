@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers import cli, framework
+from cellular_towers import bmw, cli, coeff, framework, linalg
 from cellular_towers.coeff import DV, DELTA, LaurentPoly
 from cellular_towers.combinatorics import path_to_tableau
 from cellular_towers.diagrams import BrauerDiagram, DiagramElement
@@ -232,13 +232,28 @@ def test_cell_datum_json_is_stable():
     assert set(payload["paths"]) == {vertex_str(v) for v in d.vertices}
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_tower_pivot_order_keeps_coordinates_and_det(n):
-    # coordinates over a free basis are unique, so the tower's pivot order
-    # (shortest permutations first at hecke) changes no answer
-    t = tower("hecke")
-    datum = cellular_basis("hecke", n)
+# the hecke cases keep the bare ids "3" and "4", so their test names stay stable
+PIVOT_CASES = {
+    "3": ("hecke", 3),
+    "4": ("hecke", 4),
+    "brauer-3": ("brauer", 3),
+    "brauer-4": ("brauer", 4),
+    "bmw-3": ("bmw", 3),
+    "partition-6": ("partition", 6),
+}
+
+
+@pytest.mark.parametrize("name,n", PIVOT_CASES.values(), ids=PIVOT_CASES.keys())
+def test_tower_pivot_order_keeps_coordinates_and_det(name, n, monkeypatch):
+    # coordinates over a free basis are unique and the determinant does not
+    # depend on the pivots, so the tower's order (leading terms first) and
+    # the preference for unit pivots change no answer; against a solver
+    # that takes the first residual key, they leave single-term pivots and
+    # shorter lower factors
+    t = tower(name)
+    datum = cellular_basis(name, n)
     assert datum.solver.pivot_key is not None
+    monkeypatch.setattr(linalg, "inverts_in_type", lambda x: True)
     plain = SpanSolver()
     for key in datum.index:
         assert plain.insert(t.vector(datum.elements[key]))[0] == "new"
@@ -249,6 +264,31 @@ def test_tower_pivot_order_keeps_coordinates_and_det(n):
         coords = plain.express(t.vector(x))
         assert datum.express(x) == {datum.index[i]: c for i, c in coords.items()}
     assert datum.det == plain.det_unit(sorted(keys, key=t.key_str))
+    assert all(len(f.terms) == 1 for _, f in datum.solver.pivots)
+
+    def lower_entries(solver):
+        return sum(len(low) for _, _, low, _ in solver._steps)
+
+    assert lower_entries(datum.solver) <= lower_entries(plain)
+
+
+@pytest.mark.parametrize("name,n", [("hecke", 4), ("brauer", 4), ("bmw", 3), ("bmw", 4)])
+def test_bases_and_checks_take_no_polynomial_gcd(name, n, monkeypatch):
+    # every value met through bmw 4 lies in LaurentFraction's ring, and the
+    # pivots invert there, so no poly_gcd runs; the BMW model is built
+    # afresh, since bmw_model keeps the one built first
+    calls = []
+    gcd = coeff.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(coeff, "poly_gcd", counted)
+    if name == "bmw":
+        bmw._Model(n)
+    assert verify_cell_datum(CellDatum(name, n))["pass"]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,28 @@ def test_reduction_keeps_the_rescanning_order():
     assert solver.pivots[-1][0] == "y"
 
 
+def test_insert_prefers_a_unit_pivot():
+    """Candidates are tried in the pivot key's order, or the residual's key
+    order without one; the first whose value inverts in its own type is the
+    pivot, and the first candidate when none does."""
+    q = LaurentPoly.gen(QV, Q)
+    unit = LaurentFraction(3 * q ** -2 * (q - 1) ** 2 * (q + 1))
+    other = LaurentFraction(q + 2)
+    assert type(unit.inverse()) is LaurentFraction
+    assert type(other.inverse()) is RationalFunction
+    rf = RationalFunction(q + 2, q + 3)
+    for pivot_key, vec, pivot in (
+        (None, {"a": other, "b": other, "c": unit, "d": unit}, "c"),
+        (lambda k: -ord(k), {"a": unit, "b": unit, "c": other}, "b"),
+        (None, {"a": other, "b": rf}, "b"),
+        (None, {"a": other, "b": other + 1}, "a"),
+        (lambda k: -ord(k), {"a": other, "b": other + 1}, "b"),
+    ):
+        solver = SpanSolver(pivot_key=pivot_key)
+        assert solver.insert(vec) == ("new", 0)
+        assert solver.pivots == [(pivot, vec[pivot])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_express_after_more_inserts_is_fresh(data):
