@@ -37,7 +37,7 @@ Z[q^{±1}, z^{±1}, delta]; it serves the word representation that
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .coeff import (
     DELTA,
@@ -287,25 +287,18 @@ class _Enumeration:
         for t in self.tokens:
             if t not in row:
                 row[t] = {self._new(): F_ONE}
-        # images of word prefixes at v: relators share their prefixes
+        act = partial(self._act, define=True)
         memo = {(): {v: F_ONE}}
         for rel in relators:
             out = {}
             for word, c in rel:
-                for u, x in self._prefix_image(memo, word).items():
+                for u, x in _prefix_image(memo, word, act).items():
                     acc(out, u, x * c)
             if out:
                 self._coincide(out)
                 if self.table[v] is None:
                     return
                 memo = {(): {v: F_ONE}}
-
-    def _prefix_image(self, memo, word):
-        img = memo.get(word)
-        if img is None:
-            img = self._act(self._prefix_image(memo, word[:-1]), word[-1], True)
-            memo[word] = img
-        return img
 
     def _norm(self, vec):
         """vec with every eliminated vector substituted away."""
@@ -438,18 +431,12 @@ class _Model:
         """Whether every relator of `_relation_list(n)` vanishes at every
         basis vector under the token action.  The relators at one vector
         share the images of their word prefixes, as in `_Enumeration`."""
-        def prefix_image(memo, word):
-            img = memo.get(word)
-            if img is None:
-                img = memo[word] = self.times_token(prefix_image(memo, word[:-1]), word[-1])
-            return img
-
         def vanishes(i):
             memo = {(): {i: F_ONE}}
             for rel in _relation_list(self.n):
                 image = {}
                 for word, c in rel:
-                    for j, x in prefix_image(memo, word).items():
+                    for j, x in _prefix_image(memo, word, self.times_token).items():
                         acc(image, j, x * c)
                 if image:
                     return False
@@ -458,6 +445,16 @@ class _Model:
         if self.relations_ok is None:
             self.relations_ok = all(vanishes(i) for i in range(len(self.keys)))
         return self.relations_ok
+
+
+def _prefix_image(memo, word, act):
+    """The image of word at the vector memo[()] under act(vec, token), one
+    token at a time; memo keeps the image of every prefix, which the
+    relators applied at one vector share."""
+    img = memo.get(word)
+    if img is None:
+        img = memo[word] = act(_prefix_image(memo, word[:-1], act), word[-1])
+    return img
 
 
 def _times_rows(coords, rows):
@@ -744,27 +741,8 @@ def _words_rewritten(words, change):
 
 
 # ---------------------------------------------------------------------------
-# branching lifts and the two specializations
+# the two specializations
 # ---------------------------------------------------------------------------
-
-
-def bmw_lift_branching(lam, mu, i, n=None):
-    """Lifts (dbar, ubar) in W_n for the Young-lattice edge lam -> mu at
-    level i: dbar = g_{a,i} and ubar = g_{i,a} sum_r q^r g_{a,a-r}."""
-    from .hecke import added_node
-
-    if n is None:
-        n = i
-    node = added_node(lam, mu)
-    j = node[0]
-    a = sum(mu[:j])
-    lam_j = lam[j - 1] if j <= len(lam) else 0
-    dbar = BMWElement.from_word(n, range(a, i))  # g_{a,i}
-    up = BMWElement(n)
-    for r in range(lam_j + 1):
-        up = up + BMWElement.from_word(n, range(a - 1, a - r - 1, -1), P_Q ** r)
-    ubar = BMWElement.from_word(n, range(i - 1, a - 1, -1)) * up  # g_{i,a} * sum
-    return dbar, ubar
 
 
 def bmw_to_hecke(x):

@@ -140,7 +140,7 @@ def _verify_checks(args):
                 return fw.verify_framework_axioms(algebra, k)["pass"]
 
             checks.append((f"framework_axioms_n{k}", axiom_check))
-    if run_all or args.filtrations:
+    if (run_all or args.filtrations) and n >= 1:
         def filtration_check():
             ok = True
             for v in fw.a_hat(algebra, n):

@@ -655,8 +655,10 @@ def restriction_filtration_a(tower_name, vertex, n):
     spans the path-basis elements whose level-(n-1) vertex is among the
     first j predecessors.  Checks: A_{n-1}-stability of each partial span,
     subquotient action equal to the predecessor cell module, ranks, and
-    order preservation.
+    order preservation.  Level 0 has no level below it to restrict to.
     """
+    if n < 1:
+        raise DomainError(f"restriction needs a level n >= 1, not {n}")
     t = tower(tower_name)
     datum = cellular_basis(tower_name, n)
     if vertex not in datum.vertices:

@@ -436,25 +436,24 @@ def murphy_support_shapes(x):
 def cell_action(lam, n, i):
     """Action matrix of T_i on the cell module of shape lam.
 
-    Returns {t: {v: r_v(t, T_i)}}: the rows `CellDatum.cell_row` reads off
-    the Hecke cell datum for m^lam_{t^lam, t} T_i, relabelled by tableaux;
-    raises if any coordinate violates cellularity (support on another row
-    of the lam cell, or on a shape not strictly dominating lam).
+    Returns {t: {v: r_v(t, T_i)}}: the rows `CellDatum.action_rows` reads
+    off the Hecke cell datum for m^lam_{t^lam, t} T_i (the datum's first
+    path is the superstandard tableau t^lam), relabelled by tableaux;
+    raises if any product leaves the cell ideal (support on another row of
+    the lam cell, or on a shape not strictly dominating lam).
     """
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"generator index {i} out of range for rank {n}")
     datum = _datum(n)
-    labels = _tableau_labels(n)
     v = (lam, 0)
-    npaths = len(datum.paths[v])
-    tab = [labels[(v, 0, ti)][2] for ti in range(npaths)]
-    s0 = tab.index(superstandard_tableau(lam))
-    gen = HeckeElement.t_gen(n, i)
-    rows = {}
-    for ti in range(npaths):
-        row, leaks = datum.cell_row(v, s0, ti, gen)
-        if row is None or leaks:
-            raise InternalInvariantError(f"cell action left the cell ideal: {leaks}")
-        rows[tab[ti]] = {tab[tj]: c for tj, c in row.items()}
-    return rows
+    action = datum.action_rows(v)
+    if action is None:
+        raise InternalInvariantError(f"cell action at {lam} left the cell ideal")
+    tab = [_tableau_labels(n)[(v, 0, ti)][2] for ti in range(len(datum.paths[v]))]
+    return {
+        tab[ti]: {tab[tj]: c for tj, c in row.items()}
+        for ti, row in enumerate(action[f"T{i}"])
+    }
 
 
 def restriction_filtration(lam, n=None):

@@ -4,8 +4,10 @@ Each tower bundles, per level n: the algebra arithmetic over its generic
 ground ring, the essential idempotents e_i, the quotient map onto the
 H-tower, the H-side branching diagram, and the chosen lifts of branching
 coefficients and of the cell-module generators c_(lambda,0).  The engine
-never invents these choices; they are pinned here to the explicit
-per-algebra formulas.
+never invents these choices.  The lifts are one formula, written once in
+`_TowerBase` over a per-tower lift `braid` of reduced positive words: a
+permutation diagram on the diagram towers (q = 1), a g-word at BMW and
+T_w at Hecke, whose induction coefficient keeps Murphy's power of q.
 
 Levels: for Brauer/TL/BMW, level n is the algebra on n strands.  For the
 partition tower, level 2i is the whole partition algebra on i strands and
@@ -35,15 +37,13 @@ from .diagrams import (
 )
 from .errors import DomainError
 from .hecke import (
+    QPOLY,
     HeckeElement,
     SymmetricGroupElement,
     added_node,
-    d_branching,
-    m_lambda,
     perm_from_word,
     perm_len,
     reduced_word,
-    u_branching,
     young_subgroup,
 )
 from . import bmw as _bmw
@@ -51,7 +51,9 @@ from . import bmw as _bmw
 
 class _TowerBase:
     """Plumbing shared by every tower: the element classes carry their own
-    arithmetic, and level n has n strands."""
+    arithmetic, and level n has n strands.  The lifts of the H-tower data
+    are one formula over each tower's `braid(s, word, power)`: the lift of
+    the reduced positive word `word` on s strands times q^power."""
 
     def mul(self, x, y):
         return x * y
@@ -88,6 +90,30 @@ class _TowerBase:
     def key_str(self, key):
         return str(key)
 
+    def c_lift(self, lam, n):
+        """c_(lam,0): the sum over v in S_lam of q^l(v) times the lift of v."""
+        s = self.strands(n)
+        out = self.zero(n)
+        for v in young_subgroup(lam, s):
+            out = out + self.braid(s, reduced_word(v), perm_len(v))
+        return out
+
+    def dbar(self, lam, mu, i, n):
+        """The lift of s_{a,i} = s_a s_{a+1} ... s_{i-1} for the edge lam -> mu
+        at level i, in level n."""
+        a, _ = _edge(lam, mu)
+        return self.braid(self.strands(n), range(a, i), 0)
+
+    def ubar(self, lam, mu, i, n):
+        """The lift of s_{i,a} times sum_{r=0..lam_j} q^r s_{a,a-r}, where
+        s_{b,c} = s_{b-1} s_{b-2} ... s_c for b > c."""
+        s = self.strands(n)
+        a, lam_j = _edge(lam, mu)
+        up = self.zero(n)
+        for r in range(lam_j + 1):
+            up = up + self.braid(s, range(a - 1, a - r - 1, -1), r)
+        return self.mul(self.braid(s, range(i - 1, a - 1, -1), 0), up)
+
 
 class _DiagramTowerBase(_TowerBase):
     """Shared plumbing for the three diagram towers over Z[delta]."""
@@ -112,34 +138,11 @@ class _DiagramTowerBase(_TowerBase):
     def element_of_key(self, key, n):
         return DiagramElement.from_diagram(key)
 
-    def _perm(self, w):
-        return DiagramElement.from_diagram(self.diagram_cls.from_permutation(w))
-
-    def c_lift(self, lam, n):
-        """The sum of the permutation diagrams of the Young subgroup S_lam."""
-        s = self.strands(n)
-        out = DiagramElement(s)
-        for v in young_subgroup(lam, s):
-            out = out + self._perm(v)
-        return out
-
-    def dbar(self, lam, mu, i, n):
-        """s_{a,i} as a permutation diagram in level n."""
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        return self._perm(_s_range(a, i, self.strands(n)))
-
-    def ubar(self, lam, mu, i, n):
-        """s_{i,a} sum_{r=0..lam_j} s_{a,a-r} as permutation diagrams."""
-        s = self.strands(n)
-        j = added_node(lam, mu)[0]
-        a = sum(mu[:j])
-        lam_j = lam[j - 1] if j <= len(lam) else 0
-        left = self._perm(_s_range(i, a, s))
-        acc = DiagramElement(s)
-        for r in range(lam_j + 1):
-            acc = acc + self._perm(_s_range(a, a - r, s))
-        return left * acc
+    def braid(self, s, word, power):
+        """The permutation diagram of word: q = 1 over Z[delta]."""
+        return DiagramElement.from_diagram(
+            self.diagram_cls.from_permutation(perm_from_word(word, s))
+        )
 
 
 class BrauerTower(_DiagramTowerBase):
@@ -204,14 +207,10 @@ class TemperleyLiebTower(_DiagramTowerBase):
     def h_diagram(self, depth):
         return singleton_chain(depth)
 
-    def c_lift(self, lam, n):
-        return self.one(n)
-
     def dbar(self, lam, mu, i, n):
         return self.one(n)
 
-    def ubar(self, lam, mu, i, n):
-        return self.one(n)
+    ubar = dbar
 
     def pi(self, x, n):
         ident = BrauerDiagram.identity(x.n)
@@ -266,14 +265,10 @@ class PartitionTower(_DiagramTowerBase):
     def dbar(self, lam, mu, i, n):
         """Level-i H-branching lift, included into level n: 1 on an odd
         step, else the symmetric-group lift on i // 2 strands."""
-        if i % 2 == 1:
-            return self._odd_step(lam, mu, n)
-        return super().dbar(lam, mu, i // 2, n)
+        return self._odd_step(lam, mu, n) if i % 2 else super().dbar(lam, mu, i // 2, n)
 
     def ubar(self, lam, mu, i, n):
-        if i % 2 == 1:
-            return self._odd_step(lam, mu, n)
-        return super().ubar(lam, mu, i // 2, n)
+        return self._odd_step(lam, mu, n) if i % 2 else super().ubar(lam, mu, i // 2, n)
 
     def _odd_step(self, lam, mu, n):
         if lam != mu:
@@ -338,21 +333,8 @@ class BMWTower(_TowerBase):
     def h_diagram(self, depth):
         return young_lattice(depth)
 
-    def c_lift(self, lam, n):
-        out = _bmw.BMWElement(n)
-        for v in young_subgroup(lam, n):
-            out = out + _bmw.BMWElement.from_word(
-                n, reduced_word(v), _bmw.P_Q ** perm_len(v)
-            )
-        return out
-
-    def dbar(self, lam, mu, i, n):
-        d, _ = _bmw.bmw_lift_branching(lam, mu, i, n)
-        return d
-
-    def ubar(self, lam, mu, i, n):
-        _, u = _bmw.bmw_lift_branching(lam, mu, i, n)
-        return u
+    def braid(self, s, word, power):
+        return _bmw.BMWElement.from_word(s, word, _bmw.P_Q ** power)
 
     def pi(self, x, n):
         return _bmw.bmw_to_hecke(x)
@@ -397,24 +379,23 @@ class HeckeTower(_TowerBase):
     def h_diagram(self, depth):
         return young_lattice(depth)
 
-    def c_lift(self, lam, n):
-        return m_lambda(lam, n)
-
-    def dbar(self, lam, mu, i, n):
-        return d_branching(lam, mu, i).embed(n)
+    def braid(self, s, word, power):
+        return HeckeElement(s, {perm_from_word(word, s): QPOLY ** power})
 
     def ubar(self, lam, mu, i, n):
-        return u_branching(lam, mu, i - 1).embed(n)
+        """Murphy's `hecke.u_branching`: the shared lift times q^(i-a)."""
+        a, _ = _edge(lam, mu)
+        return super().ubar(lam, mu, i, n).scale(QPOLY ** (i - a))
 
     def pi(self, x, n):
         return x
 
 
-def _s_range(a, b, n):
-    """The permutation s_{a,b} = s_a s_{a+1} ... s_{b-1} (a <= b, the cycle
-    sending a to b) or s_{a-1} s_{a-2} ... s_b (a > b); identity if a = b."""
-    word = range(a, b) if a <= b else range(a - 1, b - 1, -1)
-    return perm_from_word(word, n)
+def _edge(lam, mu):
+    """(a, lam_j) for the Young-lattice edge lam -> mu that adds a node in
+    row j: a = mu_1 + ... + mu_j is the node's place in row reading order."""
+    j = added_node(lam, mu)[0]
+    return sum(mu[:j]), mu[j - 1] - 1
 
 
 def _lead_first(keys, order):

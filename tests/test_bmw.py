@@ -14,7 +14,6 @@ from cellular_towers.bmw import (
     BMWElement,
     _Model,
     _relation_list,
-    bmw_lift_branching,
     bmw_model,
     bmw_normal_forms,
     bmw_to_brauer,
@@ -43,6 +42,7 @@ from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
 from cellular_towers.framework import cellular_basis
 from cellular_towers.linalg import SpanSolver, acc
+from cellular_towers.towers import tower
 
 QP = LaurentPoly.gen(QZDV, "q")
 F_ONE = RationalFunction.one(QZV)
@@ -521,14 +521,13 @@ def test_brauer_specialization():
 
 
 def test_lift_branching():
+    t = tower("bmw")
     # a = i case: dbar = 1 (empty word)
-    d, u = bmw_lift_branching((1,), (1, 1), 2)
-    assert d == BMWElement.one(2)
+    assert t.dbar((1,), (1, 1), 2, 2) == BMWElement.one(2)
     # lam = (1) -> mu = (2): ubar = g_{2,2}(q^0 g_{2,2} + q^1 g_{2,1}) = 1 + q g1
-    d, u = bmw_lift_branching((1,), (2,), 2)
-    assert u == BMWElement.one(2) + BMWElement.g(2, 1).scale(QP)
+    assert t.ubar((1,), (2,), 2, 2) == BMWElement.one(2) + BMWElement.g(2, 1).scale(QP)
     with pytest.raises(DomainError):
-        bmw_lift_branching((2,), (2,), 3)
+        t.dbar((2,), (2,), 3, 3)
 
 
 def test_lift_branching_quotients_to_hecke_d():
@@ -537,7 +536,7 @@ def test_lift_branching_quotients_to_hecke_d():
         for lam in partitions_of(i - 1):
             for node in addable_nodes(lam):
                 mu = add_node(lam, node)
-                dbar, _ = bmw_lift_branching(lam, mu, i, n=i)
+                dbar = tower("bmw").dbar(lam, mu, i, i)
                 want = d_branching(lam, mu, i).map_coefficients(delta_eliminate)
                 assert bmw_to_hecke(dbar) == want
     # level 4: the lift is a plain g-word, compare word for word

@@ -147,3 +147,16 @@ def test_bad_config_exit_2(tmp_path, capsys, content, message):
     capsys.readouterr()
     assert run(["--config", str(cfg), "dims", "--algebra", "tl"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", cli.ALGEBRAS)
+def test_verify_level_0_exit_0(algebra, capsys):
+    # level 0 has no level below it: the filtration check starts at level 1
+    capsys.readouterr()
+    assert run(["verify", "--algebra", algebra, "--n", "0", "--all"]) == 0
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["pass"] and "restriction_filtrations_n0" not in rep["checks"]
+    assert err == ""
+    assert run(["verify", "--algebra", algebra, "--n", "0", "--filtrations"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {}

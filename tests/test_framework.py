@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cellular_towers import bmw, cli, coeff, framework, linalg
 from cellular_towers.coeff import DV, DELTA, LaurentPoly
-from cellular_towers.combinatorics import path_to_tableau
-from cellular_towers.diagrams import BrauerDiagram, DiagramElement
+from cellular_towers.combinatorics import add_node, addable_nodes, partitions_of, path_to_tableau
+from cellular_towers.diagrams import BrauerDiagram, DiagramElement, symmetric_to_diagrams
 from cellular_towers.errors import DomainError
 from cellular_towers.framework import (
     CellDatum,
@@ -27,7 +27,14 @@ from cellular_towers.framework import (
     vertex_gt,
     vertex_str,
 )
-from cellular_towers.hecke import murphy_element
+from cellular_towers.hecke import (
+    added_node,
+    d_branching,
+    m_lambda,
+    murphy_element,
+    symmetric_group_specialize,
+    u_branching,
+)
 from cellular_towers.linalg import SpanSolver
 from cellular_towers.towers import tower
 
@@ -213,6 +220,105 @@ def test_hecke_tower_reproduces_murphy():
             s_tab = path_to_tableau(tuple(p[0] for p in ps[si]))
             t_tab = path_to_tableau(tuple(p[0] for p in ps[ti]))
             assert datum.elements[(v, si, ti)] == murphy_element(lam, s_tab, t_tab, n)
+
+
+def test_restriction_filtration_needs_level_1():
+    with pytest.raises(DomainError):
+        restriction_filtration_a("brauer", ((), 0), 0)
+
+
+def _young_edges(i):
+    """The Young-lattice edges lam -> mu with mu a partition of i."""
+    return [
+        (lam, add_node(lam, node))
+        for lam in partitions_of(i - 1)
+        for node in addable_nodes(lam)
+    ]
+
+
+def _at_q1(x, kind):
+    """A Hecke element at q = 1 as permutation diagrams over Z[delta]."""
+    g = symmetric_group_specialize(x)
+    assert all(c.den.is_one() for c in g.coeffs.values())
+    return symmetric_to_diagrams(g, kind).map_coefficients(lambda c: c.num.extend_vars(DV))
+
+
+@pytest.mark.parametrize("name", ["brauer", "partition"])
+def test_diagram_lifts_are_the_hecke_formulas_at_q1(name):
+    # on every H-edge up to the default bound, in every level above it
+    t = tower(name)
+    kind = t.diagram_cls
+    halve = 2 if name == "partition" else 1
+    for n in range(t.default_bound + 1):
+        s = t.strands(n)
+        for k in range(n // halve + 1):
+            for lam in partitions_of(k):
+                assert t.c_lift(lam, n) == _at_q1(m_lambda(lam, s), kind)
+        for i in range(1, n + 1):
+            if i % halve:
+                for lam in partitions_of(i // 2):
+                    assert t.dbar(lam, lam, i, n) == t.ubar(lam, lam, i, n) == t.one(n)
+                continue
+            for lam, mu in _young_edges(i // halve):
+                want_d = _at_q1(d_branching(lam, mu).embed(s), kind)
+                want_u = _at_q1(u_branching(lam, mu).embed(s), kind)
+                assert t.dbar(lam, mu, i, n) == want_d
+                assert t.ubar(lam, mu, i, n) == want_u
+
+
+def test_tl_lifts_are_one():
+    t = tower("tl")
+    for n in range(t.default_bound + 1):
+        assert t.c_lift((), n) == t.one(n)
+        for i in range(1, n + 1):
+            assert t.dbar((), (), i, n) == t.ubar((), (), i, n) == t.one(n)
+
+
+def test_hecke_lifts_are_murphys_formulas():
+    t = tower("hecke")
+    for n in range(t.default_bound + 1):
+        for k in range(n + 1):
+            for lam in partitions_of(k):
+                assert t.c_lift(lam, n) == m_lambda(lam, n)
+        for i in range(1, n + 1):
+            for lam, mu in _young_edges(i):
+                assert t.dbar(lam, mu, i, n) == d_branching(lam, mu).embed(n)
+                assert t.ubar(lam, mu, i, n) == u_branching(lam, mu).embed(n)
+
+
+def test_bmw_lifts_quotient_to_the_hecke_formulas():
+    # pi(ubar) differs from Murphy's u_branching by the unit q^(i-a)
+    t = tower("bmw")
+    for n in range(t.default_bound + 1):
+        for k in range(n + 1):
+            for lam in partitions_of(k):
+                want = m_lambda(lam, n).map_coefficients(coeff.delta_eliminate)
+                assert bmw.bmw_to_hecke(t.c_lift(lam, n)) == want
+        for i in range(1, n + 1):
+            for lam, mu in _young_edges(i):
+                j = added_node(lam, mu)[0]
+                unit = coeff.delta_eliminate(bmw.P_Q ** (i - sum(mu[:j])))
+                want_d = d_branching(lam, mu).embed(n)
+                want_u = u_branching(lam, mu).embed(n)
+                assert bmw.bmw_to_hecke(t.dbar(lam, mu, i, n)) == want_d.map_coefficients(
+                    coeff.delta_eliminate
+                )
+                assert bmw.bmw_to_hecke(t.ubar(lam, mu, i, n)).scale(
+                    unit
+                ) == want_u.map_coefficients(coeff.delta_eliminate)
+
+
+@pytest.mark.parametrize("name", ["brauer", "bmw", "hecke", "partition"])
+def test_lift_of_a_non_edge_raises(name):
+    t = tower(name)
+    i = 4 if name == "partition" else 3
+    for lift in (t.dbar, t.ubar):
+        with pytest.raises(DomainError):
+            lift((2,), (2,), i, i)
+    if name == "partition":
+        # an odd step repeats the partition
+        with pytest.raises(DomainError):
+            t.dbar((1,), (2,), 3, 3)
 
 
 def test_vertex_str():

@@ -10,6 +10,7 @@ from cellular_towers.combinatorics import (
     add_node,
     garnir_tableau,
     partitions_of,
+    path_to_tableau,
     remove_node,
     removable_nodes,
     semistandard_tableaux,
@@ -407,6 +408,17 @@ def test_murphy_basis_json():
     assert entry["s"] == [[1, 2]] and entry["t"] == [[1, 2]]
     assert entry["coeffs"]["1,2"]["terms"] == [{"exp": [0], "coef": "1"}]
     assert entry["coeffs"]["2,1"]["terms"] == [{"exp": [1], "coef": "1"}]
+
+
+def test_cell_action_reads_the_superstandard_row():
+    # cell_action reads row 0 of the cell datum: path 0 is t^lam
+    for n in range(1, 6):
+        datum = framework.cellular_basis("hecke", n)
+        for lam in partitions_of(n):
+            path = datum.paths[(lam, 0)][0]
+            assert path_to_tableau(tuple(mu for mu, _ in path)) == superstandard_tableau(lam)
+    with pytest.raises(DomainError):
+        cell_action((2, 1), 3, 3)
 
 
 def test_cell_action_independence_of_s():
