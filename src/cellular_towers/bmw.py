@@ -501,9 +501,8 @@ def _relation_list(n):
 
 @cache
 def bmw_model(n):
-    """The certified rank-n model; built once and shared read-only."""
-    if n > rank_bound():
-        raise BoundExceededError(f"rank {n} exceeds the configured bound {rank_bound()}")
+    """The certified rank-n model; built once and shared read-only.  Past
+    the rank bound, `bmw_normal_forms` raises `BoundExceededError`."""
     return _Model(n)
 
 

@@ -1,11 +1,15 @@
 """Diagram bases and multiplication: Brauer, Temperley-Lieb, partition.
 
 Vertices of an n-strand diagram are the ints 1..n (top row) and -1..-n
-(bottom row).  A Brauer diagram is a perfect matching stored as a sorted
-tuple of sorted pairs; a partition diagram is a set partition stored as a
-sorted tuple of sorted blocks.  The order is `_vkey`'s: tops 1..n, then
-bottoms -1..-n.  Elements are finitely supported coefficient maps over
-Z[delta], `linalg.SparseElement`s whose product is diagram composition.
+(bottom row).  A diagram is a set partition of the vertices, and a Brauer
+diagram is one whose blocks are all pairs (Halverson-Ram 2005).  Both kinds
+share one core, `_Diagram`: the blocks are stored as a sorted tuple of
+sorted blocks, in `_vkey`'s order (tops 1..n, then bottoms -1..-n), and
+storage, validation, comparison, the involution, padding and the
+permutation methods are written once there.  Only composition and the
+generators differ by kind.  Elements are finitely supported coefficient
+maps over Z[delta], `linalg.SparseElement`s whose product is diagram
+composition.
 
 Composition stacks d1 over d2 (top of the product = top of d1), removing
 closed middle components; each removed component contributes a factor
@@ -28,14 +32,16 @@ root in `_vkey` order, so each block is sorted and the blocks are ordered
 by their first member: canonical again.  Middle roots that reach no outer
 vertex are the removed blocks.
 
-Composition builds its result through the trusted `_raw` constructors;
-the public constructors validate and canonicalize input from outside.
+Composition and `star` build their results through the trusted `_raw`
+constructor; the public constructors validate and canonicalize input from
+outside.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import neg
 
 from .coeff import DELTA, DV, LaurentPoly
 from .errors import DomainError
@@ -51,36 +57,37 @@ def _vkey(v):
     return (0, v) if v > 0 else (1, -v)
 
 
-def _canon_pairs(pairs):
-    return tuple(sorted((tuple(sorted(p, key=_vkey)) for p in pairs), key=lambda p: _vkey(p[0])))
-
-
 def _canon_blocks(blocks):
     return tuple(
         sorted((tuple(sorted(b, key=_vkey)) for b in blocks), key=lambda b: _vkey(b[0]))
     )
 
 
-class BrauerDiagram:
-    """A perfect matching on {1..n, -1..-n}; canonical pair order."""
+class _Diagram:
+    """Blocks partitioning {1..n, -1..-n}, stored canonically."""
 
-    __slots__ = ("n", "pairs", "_hash")
+    __slots__ = ("n", "blocks", "_hash")
+    _what = "set partition"
 
-    def __init__(self, n, pairs):
-        pairs = _canon_pairs(pairs)
-        seen = [v for p in pairs for v in p]
-        if sorted(seen) != sorted(list(range(-n, 0)) + list(range(1, n + 1))):
-            raise DomainError(f"not a perfect matching on {n} strands: {pairs}")
+    def __init__(self, n, blocks):
+        blocks = _canon_blocks(blocks)
+        seen = [v for b in blocks for v in b]
+        if sorted(seen) != [*range(-n, 0), *range(1, n + 1)] or not self._sizes_ok(blocks):
+            raise DomainError(f"not a {self._what} on {n} strands: {blocks}")
         self.n = n
-        self.pairs = pairs
+        self.blocks = blocks
         self._hash = None
 
+    @staticmethod
+    def _sizes_ok(blocks):
+        return True
+
     @classmethod
-    def _raw(cls, n, pairs):
-        """Trusted constructor: `pairs` is already a canonical matching."""
+    def _raw(cls, n, blocks):
+        """Trusted constructor: `blocks` is already canonical and valid."""
         self = object.__new__(cls)
         self.n = n
-        self.pairs = pairs
+        self.blocks = blocks
         self._hash = None
         return self
 
@@ -94,10 +101,77 @@ class BrauerDiagram:
         return cls(len(w), [(i, -w[i - 1]) for i in range(1, len(w) + 1)])
 
     @classmethod
+    def transposition(cls, i, n):
+        """The diagram of the simple transposition s_i = (i, i+1)."""
+        w = list(range(1, n + 1))
+        w[i - 1 : i + 1] = i + 1, i
+        return cls.from_permutation(w)
+
+    def star(self):
+        """Flip top and bottom rows; the mirror image of a valid diagram is
+        valid, so only the order is redone."""
+        return self._raw(self.n, _canon_blocks([tuple(map(neg, b)) for b in self.blocks]))
+
+    def pad(self, n):
+        """Add vertical strands to reach n strands."""
+        extra = [(i, -i) for i in range(self.n + 1, n + 1)]
+        return type(self)(n, self.blocks + tuple(extra))
+
+    def propagating(self):
+        # a canonical block lists its tops first
+        return len([b for b in self.blocks if b[0] > 0 > b[-1]])
+
+    def is_permutation(self):
+        # n propagating blocks hold the n tops and the n bottoms one each
+        return self.propagating() == self.n
+
+    def permutation(self):
+        if not self.is_permutation():
+            raise DomainError("not a permutation diagram")
+        img = {a: -b for a, b in self.blocks}
+        return tuple(img[i] for i in range(1, self.n + 1))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.blocks == other.blocks
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.n, self.blocks))
+        return self._hash
+
+    def __lt__(self, other):
+        return self.blocks < other.blocks
+
+    def __str__(self):
+        return "|".join(["".join(map(_pname, b)) for b in self.blocks])
+
+    __repr__ = __str__
+
+    def key(self):
+        return str(self)
+
+
+class BrauerDiagram(_Diagram):
+    """A perfect matching on {1..n, -1..-n}: every block is a pair."""
+
+    __slots__ = ()
+    _what = "perfect matching"
+
+    @staticmethod
+    def _sizes_ok(blocks):
+        return {len(p) for p in blocks} <= {2}
+
+    @property
+    def pairs(self):
+        return self.blocks
+
+    @classmethod
     def s(cls, i, n):
-        pairs = [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
-        pairs += [(i, -(i + 1)), (i + 1, -i)]
-        return cls(n, pairs)
+        return cls.transposition(i, n)
 
     @classmethod
     def e(cls, i, n):
@@ -110,7 +184,7 @@ class BrauerDiagram:
         if self.n != other.n:
             raise DomainError("size mismatch")
         n = self.n
-        up, down = _mates(self.pairs, n), _mates(other.pairs, n)
+        up, down = _mates(self.blocks, n), _mates(other.blocks, n)
         mid = [False] * (n + 1)  # middle vertices some walk passed through
         done = [False] * (2 * n + 1)  # far endpoints already paired
         pairs = []
@@ -155,27 +229,14 @@ class BrauerDiagram:
                 v = -up[n + v]
         return BrauerDiagram._raw(n, tuple(pairs)), loops
 
-    def star(self):
-        return BrauerDiagram(self.n, [(-a, -b) for a, b in self.pairs])
-
-    def through_count(self):
-        return sum(1 for a, b in self.pairs if a > 0 > b)
-
-    def is_permutation(self):
-        return self.through_count() == self.n
-
-    def permutation(self):
-        if not self.is_permutation():
-            raise DomainError("not a permutation diagram")
-        img = {a: -b for a, b in self.pairs}
-        return tuple(img[i] for i in range(1, self.n + 1))
+    through_count = _Diagram.propagating
 
     def crossings(self):
         """The number of pairs of strands that cross, drawn as chords in the
         boundary order 1 < ... < n < -n < ... < -1; on the diagram of a
         permutation w it is w's length."""
         end = 2 * self.n + 1
-        spans = sorted(tuple(sorted(v if v > 0 else end + v for v in p)) for p in self.pairs)
+        spans = sorted(tuple(sorted(v if v > 0 else end + v for v in p)) for p in self.blocks)
         # sorted by first endpoint, a later chord crosses an earlier one
         # exactly when it starts inside it and ends outside it
         return sum(
@@ -188,36 +249,8 @@ class BrauerDiagram:
         """Crossing-free in the boundary order 1 < ... < n < -n < ... < -1."""
         return not self.crossings()
 
-    def pad(self, n):
-        """Add vertical strands to reach n strands."""
-        extra = [(i, -i) for i in range(self.n + 1, n + 1)]
-        return BrauerDiagram(n, self.pairs + tuple(extra))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrauerDiagram)
-            and self.n == other.n
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.pairs))
-        return self._hash
-
-    def __lt__(self, other):
-        return self.pairs < other.pairs
-
-    def __str__(self):
-        return "|".join(f"{_pname(a)}{_pname(b)}" for a, b in self.pairs)
-
-    __repr__ = __str__
-
-    def key(self):
-        return str(self)
-
     def to_json(self):
-        return {"n": self.n, "pairs": [[_pname(a), _pname(b)] for a, b in self.pairs]}
+        return {"n": self.n, "pairs": [[_pname(a), _pname(b)] for a, b in self.blocks]}
 
 
 def _mates(pairs, n):
@@ -229,6 +262,7 @@ def _mates(pairs, n):
     return mate
 
 
+@cache
 def _pname(v):
     return f"p{v}" if v > 0 else f"q{-v}"
 
@@ -250,7 +284,7 @@ def brauer_basis(n):
             rec(rest[1:k] + rest[k + 1 :], pairs + [(a, b)])
 
     rec(verts, [])
-    return tuple(sorted(out, key=lambda d: d.pairs))
+    return tuple(sorted(out, key=lambda d: d.blocks))
 
 
 @cache
@@ -276,7 +310,7 @@ def tl_basis(n):
                     yield [pair, *inner, *outer]
 
     out = [BrauerDiagram(n, pairs) for pairs in matchings(0, 2 * n)]
-    return tuple(sorted(out, key=lambda d: d.pairs))
+    return tuple(sorted(out, key=lambda d: d.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -284,43 +318,14 @@ def tl_basis(n):
 # ---------------------------------------------------------------------------
 
 
-class SetPartitionDiagram:
-    """A set partition of {1..n, -1..-n}; canonical block order."""
+class SetPartitionDiagram(_Diagram):
+    """A set partition of {1..n, -1..-n}."""
 
-    __slots__ = ("n", "blocks", "_hash")
-
-    def __init__(self, n, blocks):
-        blocks = _canon_blocks(blocks)
-        seen = [v for b in blocks for v in b]
-        if sorted(seen) != sorted(list(range(-n, 0)) + list(range(1, n + 1))):
-            raise DomainError(f"not a set partition on {n} strands: {blocks}")
-        self.n = n
-        self.blocks = blocks
-        self._hash = None
-
-    @classmethod
-    def _raw(cls, n, blocks):
-        """Trusted constructor: `blocks` is already a canonical partition."""
-        self = object.__new__(cls)
-        self.n = n
-        self.blocks = blocks
-        self._hash = None
-        return self
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, [(i, -i) for i in range(1, n + 1)])
-
-    @classmethod
-    def from_permutation(cls, w):
-        return cls(len(w), [(i, -w[i - 1]) for i in range(1, len(w) + 1)])
+    __slots__ = ()
 
     @classmethod
     def t(cls, i, n):
-        """The transposition diagram t_{s_i}."""
-        blocks = [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
-        blocks += [(i, -(i + 1)), (i + 1, -i)]
-        return cls(n, blocks)
+        return cls.transposition(i, n)
 
     @classmethod
     def p_int(cls, i, n):
@@ -369,12 +374,6 @@ class SetPartitionDiagram:
         blocks = tuple(tuple(members) for members in groups.values())
         return SetPartitionDiagram._raw(n, blocks), removed
 
-    def star(self):
-        return SetPartitionDiagram(self.n, [tuple(-v for v in b) for b in self.blocks])
-
-    def propagating(self):
-        return sum(1 for b in self.blocks if any(v > 0 for v in b) and any(v < 0 for v in b))
-
     def propagating_inversions(self):
         """The pairs of propagating blocks whose first top vertices and first
         bottom vertices come in opposite orders; on the diagram of a
@@ -383,49 +382,10 @@ class SetPartitionDiagram:
         ends = [(b[0], next(v for v in b if v < 0)) for b in self.blocks if b[0] > 0 > b[-1]]
         return sum(1 for (_, x), (_, y) in itertools.combinations(ends, 2) if y > x)
 
-    def is_permutation(self):
-        return all(len(b) == 2 for b in self.blocks) and self.propagating() == self.n
-
-    def permutation(self):
-        if not self.is_permutation():
-            raise DomainError("not a permutation diagram")
-        img = {}
-        for b in self.blocks:
-            a = [v for v in b if v > 0][0]
-            img[a] = -[v for v in b if v < 0][0]
-        return tuple(img[i] for i in range(1, self.n + 1))
-
     def half_level(self):
         """True when n and -n share a block (the P_{n-1/2} condition)."""
         blk = next(b for b in self.blocks if self.n in b)
         return -self.n in blk
-
-    def pad(self, n):
-        extra = [(i, -i) for i in range(self.n + 1, n + 1)]
-        return SetPartitionDiagram(n, self.blocks + tuple(extra))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetPartitionDiagram)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.blocks))
-        return self._hash
-
-    def __lt__(self, other):
-        return self.blocks < other.blocks
-
-    def __str__(self):
-        return "|".join("".join(_pname(v) for v in b) for b in self.blocks)
-
-    __repr__ = __str__
-
-    def key(self):
-        return str(self)
 
     def to_json(self):
         return {"n": self.n, "blocks": [[_pname(v) for v in b] for b in self.blocks]}

@@ -289,7 +289,7 @@ class BMWTower(_TowerBase):
     name = "bmw"
     field_vars = QZV
     has_contractions = True
-    default_bound = 4
+    default_bound = _bmw.DEFAULT_BOUND
     # products for axiom checks at index n live in rank n+1; the rank-4
     # model takes about 0.5 s to build and certify, so the default sweep
     # stops at n = 2 and a rank-3 verify never builds rank 4

@@ -249,9 +249,14 @@ def test_normal_form_keys_n2():
     assert keys["p1p2|q1q2"] == (-1,)    # e_1
 
 
-def test_bound_exceeded():
+def test_bound_exceeded(monkeypatch):
     with pytest.raises(BoundExceededError):
         bmw_normal_forms(7)
+    monkeypatch.delenv("CELLULAR_TOWERS_MAX_LEVEL", raising=False)
+    n = bmw.DEFAULT_BOUND + 1
+    with pytest.raises(BoundExceededError, match=f"rank {n} exceeds the configured bound {n - 1}"):
+        bmw_model(n)
+    assert tower("bmw").default_bound == bmw.DEFAULT_BOUND
 
 
 def test_canonical_lift_multiplies_to_its_diagram():

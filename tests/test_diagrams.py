@@ -71,16 +71,15 @@ def reference_compose(d1, d2):
     """Stack d1 over d2: (product, closed middle components), the product
     built by the validating constructor of d1's kind."""
     n = d1.n
-    parts = (lambda d: d.pairs) if isinstance(d1, BrauerDiagram) else (lambda d: d.blocks)
     uf = _UnionFind(
         [("t", i) for i in range(1, n + 1)]
         + [("m", i) for i in range(1, n + 1)]
         + [("b", i) for i in range(1, n + 1)]
     )
-    for b in parts(d1):
+    for b in d1.blocks:
         for v in b[1:]:
             uf.union(_up(b[0]), _up(v))
-    for b in parts(d2):
+    for b in d2.blocks:
         for v in b[1:]:
             uf.union(_down(b[0]), _down(v))
     comp = {}
@@ -426,6 +425,129 @@ def test_pad_is_multiplicative():
 def test_size_mismatch_raises():
     with pytest.raises(DomainError):
         BrauerDiagram.e(1, 2).compose(BrauerDiagram.e(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# validation and the shared diagram core
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [BrauerDiagram, SetPartitionDiagram])
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(1, -1)],  # 2 and -2 missing
+        [(1, -1), (2, -2), (1, 2)],  # 1 and 2 repeated
+        [(1, -1), (3, -2)],  # 3 out of range, 2 missing
+        [(1, -1), (2, -2), (3, -3)],  # 3 and -3 out of range
+        [(1, 0), (2, -2), (-1,)],  # 0 is no vertex
+    ],
+)
+def test_constructors_reject_bad_vertex_sets(kind, blocks):
+    with pytest.raises(DomainError):
+        kind(2, blocks)
+
+
+@pytest.mark.parametrize("n, blocks", [(2, [(1, 2, -1, -2)]), (1, [(1,), (-1,)])])
+def test_brauer_constructor_rejects_blocks_that_are_not_pairs(n, blocks):
+    assert SetPartitionDiagram(n, blocks).n == n
+    with pytest.raises(DomainError):
+        BrauerDiagram(n, blocks)
+
+
+# the per-class methods of the two kinds before they shared one core,
+# kept as references for it
+
+
+def _vkey(v):
+    return (0, v) if v > 0 else (1, -v)
+
+
+def _canon(blocks):
+    return tuple(sorted((tuple(sorted(b, key=_vkey)) for b in blocks), key=lambda b: _vkey(b[0])))
+
+
+def _pname(v):
+    return f"p{v}" if v > 0 else f"q{-v}"
+
+
+def _brauer_reference(d, m):
+    """(star, pad to m, through strands, is_permutation, permutation, str)."""
+    through = sum(1 for a, b in d.pairs if a > 0 > b)
+    img = {a: -b for a, b in d.pairs}
+    return (
+        _canon([(-a, -b) for a, b in d.pairs]),
+        _canon(d.pairs + tuple((i, -i) for i in range(d.n + 1, m + 1))),
+        through,
+        through == d.n,
+        tuple(img[i] for i in range(1, d.n + 1)) if through == d.n else None,
+        "|".join(f"{_pname(a)}{_pname(b)}" for a, b in d.pairs),
+    )
+
+
+def _partition_reference(d, m):
+    propagating = sum(
+        1 for b in d.blocks if any(v > 0 for v in b) and any(v < 0 for v in b)
+    )
+    is_perm = all(len(b) == 2 for b in d.blocks) and propagating == d.n
+    img = {}
+    if is_perm:
+        for b in d.blocks:
+            img[[v for v in b if v > 0][0]] = -[v for v in b if v < 0][0]
+    return (
+        _canon([tuple(-v for v in b) for b in d.blocks]),
+        _canon(d.blocks + tuple((i, -i) for i in range(d.n + 1, m + 1))),
+        propagating,
+        is_perm,
+        tuple(img[i] for i in range(1, d.n + 1)) if is_perm else None,
+        "|".join("".join(_pname(v) for v in b) for b in d.blocks),
+    )
+
+
+def _shared_core(d, m, through):
+    star, padded = d.star(), d.pad(m)
+    assert type(star) is type(d) is type(padded)
+    assert hash(d) == hash((d.n, d.blocks))
+    return (
+        star.blocks,
+        padded.blocks,
+        through(),
+        d.is_permutation(),
+        d.permutation() if d.is_permutation() else None,
+        str(d),
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [lambda: brauer_basis(4), lambda: tl_basis(5), lambda: partition_basis(3),
+     lambda: half_level_basis(3)],
+    ids=["brauer4", "tl5", "partition3", "half3"],
+)
+def test_shared_core_matches_the_per_class_references(basis):
+    for d in basis():
+        m = d.n + 2
+        if isinstance(d, BrauerDiagram):
+            assert _shared_core(d, m, d.through_count) == _brauer_reference(d, m)
+            assert d.pairs is d.blocks
+        else:
+            assert _shared_core(d, m, d.propagating) == _partition_reference(d, m)
+        if not d.is_permutation():
+            with pytest.raises(DomainError):
+                d.permutation()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_a_brauer_and_a_partition_diagram_never_compare_equal(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        b = BrauerDiagram.from_permutation(w)
+        p = SetPartitionDiagram.from_permutation(w)
+        assert b.blocks == p.blocks and str(b) == str(p) and hash(b) == hash(p)
+        assert b != p and p != b and len({b, p}) == 2
+    for i in range(1, n):
+        blocks = [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
+        blocks += [(i, -(i + 1)), (i + 1, -i)]
+        assert BrauerDiagram.s(i, n).blocks == SetPartitionDiagram.t(i, n).blocks == _canon(blocks)
 
 
 def test_diagram_json():
