@@ -31,8 +31,9 @@ No confluence of any rewriting system is assumed.  `reduce_word` rewrites
 a g/e word into the span of words in which each generator index occurs at
 most once at the top level (the classical inductive spanning set), using a
 twelve-case local relation table, with coefficients polynomial in
-Z[q^{±1}, z^{±1}, delta]; it serves the word representation that
-`bmw_to_brauer` reads, which an element forms only when it is read.
+Z[q^{±1}, z^{±1}, delta].  No element operation calls it: it is the
+independent rewriting reference against which the enumerated model is
+tested.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ from .coeff import (
     Z,
     LaurentFraction,
     LaurentPoly,
-    RationalFunction,
     delta_as_qz,
     delta_eliminate,
-    specialize,
+    delta_restore,
 )
 from .diagrams import BrauerDiagram, DiagramElement, brauer_basis, double_factorial_odd
 from .errors import BoundExceededError, DomainError, InternalInvariantError, max_level
 from .hecke import HeckeElement, reduced_word
-from .linalg import SpanSolver, acc
+from .linalg import SpanSolver, SparseElement, acc
 
 # tokens: +i is g_i, -i is e_i
 P_ONE = LaurentPoly.one(QZDV)
@@ -511,67 +511,22 @@ def bmw_model(n):
 # ---------------------------------------------------------------------------
 
 
-class BMWElement:
-    """Coordinates over the rank-n normal forms, with an optional parallel
-    word representation carrying exact Z[q^{±1}, z^{±1}, delta]
-    coefficients, which `bmw_to_brauer` reads: delta cannot be read back
-    from Q(q, z) coordinates at q = z = 1.
+class BMWElement(SparseElement):
+    """Coordinates over the rank-n normal forms: a map from a diagram's
+    index in `bmw_model(n).keys` to a nonzero Q(q, z) coefficient, the
+    coefficient of that diagram's canonical lift.  Over the generic ground
+    ring R the lifts are an R-basis (Morton & Wassermann, arXiv:1012.3116),
+    so the coordinates of an element of the R-form lie in R's image, and
+    `bmw_to_brauer` reads the Brauer specialization from them."""
 
-    `words` is None when an element has no word representation (one built
-    from coordinates, or scaled by a value outside that ring).  Only
-    `from_word` and `one` build their maps at once.  Every other operation
-    stores, in `_words`, how its map follows from its operands' maps, and
-    the map is formed on the first read of `words`, so products that are
-    only expressed never rewrite a word.  Until then a result keeps its
-    operands alive."""
-
-    __slots__ = ("n", "coords", "_words")
-
-    def __init__(self, n, coords=None, words=None):
-        self.n = n
-        self.coords = {i: c for i, c in (coords or {}).items() if c}
-        self._words = words
-
-    @property
-    def words(self):
-        """{word: coefficient}, or None; formed on first read."""
-        if self._words.__class__ is tuple:
-            # form the pending maps this one needs, innermost first, with an
-            # explicit stack, so that a long chain of sums cannot recurse
-            stack = [self]
-            while stack:
-                x = stack[-1]
-                pending = x._words
-                if pending.__class__ is not tuple:
-                    stack.pop()
-                    continue
-                form, operands = pending
-                todo = [y for y in operands if y._words.__class__ is tuple]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                x._words = form(*(y._words for y in operands))
-        return self._words
-
-    def _then(self, form, other=None):
-        """The pending words of a result, (form, operands): formed as
-        form(self.words) or form(self.words, other.words); None when an
-        operand has no words."""
-        if self._words is None:
-            return None
-        if other is None:
-            return form, (self,)
-        if other._words is None:
-            return None
-        return form, (self, other)
+    __slots__ = ()
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def one(cls, n):
         m = bmw_model(n)
-        return cls(n, {m.index[BrauerDiagram.identity(n)]: F_ONE}, {(): P_ONE})
+        return cls._raw(n, {m.index[BrauerDiagram.identity(n)]: F_ONE})
 
     @classmethod
     def from_word(cls, n, word, coeff=P_ONE):
@@ -582,14 +537,8 @@ class BMWElement:
             if not 1 <= abs(t) <= n - 1:
                 raise DomainError(f"token {t} out of range at rank {n}")
         m = bmw_model(n)
-        f = delta_eliminate(coeff)
-        # the constructor drops the coordinates that vanish
         one = {m.index[BrauerDiagram.identity(n)]: F_ONE}
-        coords = {i: c * f for i, c in m.apply(one, word).items()}
-        words = {}
-        for w, c in reduce_word(word).items():
-            acc(words, w, c * coeff)
-        return cls(n, coords, words)
+        return cls._raw(n, m.apply(one, word)).scale(coeff)
 
     @classmethod
     def g(cls, n, i):
@@ -606,45 +555,19 @@ class BMWElement:
 
     def basis_keys(self):
         m = bmw_model(self.n)
-        return {m.keys[i]: c for i, c in self.coords.items()}
+        return {m.keys[i]: c for i, c in self.coeffs.items()}
 
     # -- ring operations ---------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, BMWElement) or other.n != self.n:
-            return NotImplemented
-        coords = dict(self.coords)
-        for i, c in other.coords.items():
-            acc(coords, i, c)
-        return BMWElement(self.n, coords, self._then(_words_sum, other))
-
-    def __sub__(self, other):
-        if not isinstance(other, BMWElement) or other.n != self.n:
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, f):
-        """Scalar multiply; f may be an int, a polynomial in q, z, delta, or
-        an element of Q(q, z)."""
-        if isinstance(f, int):
-            f = LaurentPoly.const(QZDV, f)
+        """Scalar multiply; f may be an int, a Laurent polynomial in q, z,
+        delta (sent through `delta_eliminate`), or an element of Q(q, z)."""
         if isinstance(f, LaurentPoly):
-            fp = f.extend_vars(QZDV) if f.vars != QZDV else f
-            ff = delta_eliminate(fp)
-            words = self._then(lambda w: {u: p for u, c in w.items() if (p := c * fp)})
-        else:
-            ff = f
-            words = None
-        coords = {i: c * ff for i, c in self.coords.items()}
-        return BMWElement(self.n, coords, words)
+            f = delta_eliminate(f)
+        return SparseElement.scale(self, f)
 
     def times_token(self, token):
-        m = bmw_model(self.n)
-        words = self._then(lambda w: _words_rewritten(w, lambda u: u + (token,)))
-        return BMWElement(self.n, m.times_token(self.coords, token), words)
+        return self._raw(self.n, bmw_model(self.n).times_token(self.coeffs, token))
 
     def __mul__(self, other):
         if not isinstance(other, BMWElement):
@@ -652,21 +575,14 @@ class BMWElement:
         if other.n != self.n:
             raise DomainError("rank mismatch")
         m = bmw_model(self.n)
-        coords = {}
-        for i, c in other.coords.items():
-            for k, r in m.apply(self.coords, m.words[m.keys[i]]).items():
-                acc(coords, k, r * c)
-        return BMWElement(self.n, coords, self._then(_words_product, other))
-
-    def __rmul__(self, other):
-        if isinstance(other, BMWElement):
-            return NotImplemented
-        return self.scale(other)
+        coeffs = {}
+        for i, c in other.coeffs.items():
+            for k, r in m.apply(self.coeffs, m.words[m.keys[i]]).items():
+                acc(coeffs, k, r * c)
+        return self._raw(self.n, coeffs)
 
     def star(self):
-        m = bmw_model(self.n)
-        words = self._then(lambda w: _words_rewritten(w, lambda u: u[::-1]))
-        return BMWElement(self.n, m.star(self.coords), words)
+        return self._raw(self.n, bmw_model(self.n).star(self.coeffs))
 
     def embed(self, n):
         """Tower inclusion W_self.n -> W_n (canonical lifts are compatible)."""
@@ -674,34 +590,16 @@ class BMWElement:
             return self
         if n < self.n:
             raise DomainError("cannot embed downward")
-        m_lo, m_hi = bmw_model(self.n), bmw_model(n)
-        coords = {
-            m_hi.index[m_lo.keys[i].pad(n)]: c for i, c in self.coords.items()
-        }
-        return BMWElement(n, coords, self._then(lambda w: w))  # shares the map
-
-    def is_zero(self):
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BMWElement)
-            and self.n == other.n
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coords.items()))))
+        keys, index = bmw_model(self.n).keys, bmw_model(n).index
+        return self.map_keys(lambda i: index[keys[i].pad(n)], n)
 
     def __str__(self):
-        if not self.coords:
+        if not self.coeffs:
             return "0"
         m = bmw_model(self.n)
         return " + ".join(
-            f"({c})*[{m.keys[i]}]" for i, c in sorted(self.coords.items())
+            f"({c})*[{m.keys[i]}]" for i, c in sorted(self.coeffs.items())
         )
-
-    __repr__ = __str__
 
     def to_json(self):
         m = bmw_model(self.n)
@@ -709,34 +607,9 @@ class BMWElement:
             "n": self.n,
             "terms": [
                 {"diagram": m.keys[i].to_json(), "coeff": c.to_json()}
-                for i, c in sorted(self.coords.items())
+                for i, c in sorted(self.coeffs.items())
             ],
         }
-
-
-def _words_sum(w1, w2):
-    out = dict(w1)
-    for w, c in w2.items():
-        acc(out, w, c)
-    return out
-
-
-def _words_product(w1, w2):
-    out = {}
-    for u, cu in w1.items():
-        for v, cv in w2.items():
-            for w, c in reduce_word(u + v).items():
-                acc(out, w, cu * cv * c)
-    return out
-
-
-def _words_rewritten(words, change):
-    """Each word w replaced by reduce_word(change(w))."""
-    out = {}
-    for w, c in words.items():
-        for w2, c2 in reduce_word(change(w)).items():
-            acc(out, w2, c * c2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -754,38 +627,15 @@ def bmw_to_hecke(x):
     m = bmw_model(x.n)
     return HeckeElement(x.n, {
         m.keys[i].permutation(): c
-        for i, c in x.coords.items()
+        for i, c in x.coeffs.items()
         if m.keys[i].is_permutation()
     })
 
 
 def bmw_to_brauer(x):
     """Specialize q = 1, z = 1 keeping delta free; lands in the Brauer
-    algebra over Z[delta].  Raises SpecializationError on a pole."""
-    from .coeff import DV
-
-    one_d = RationalFunction.one(DV)
-    out = DiagramElement(x.n)
-    if x.words is not None:
-        for w, c in x.words.items():
-            val = specialize(c, {Q: one_d, Z: one_d}, DV)
-            if not val:
-                continue
-            el = DiagramElement.one(x.n)
-            for t in w:
-                d = BrauerDiagram.s(t, x.n) if t > 0 else BrauerDiagram.e(-t, x.n)
-                el = el * DiagramElement.from_diagram(d)
-            out = out + el.scale(_as_delta_poly(val))
-        return out
+    algebra over Z[delta].  A canonical lift specializes to its own diagram,
+    so each coordinate maps through `delta_restore`, which raises
+    SpecializationError on a coordinate outside the ground ring."""
     m = bmw_model(x.n)
-    for i, c in x.coords.items():
-        val = specialize(c, {Q: one_d, Z: one_d}, DV)
-        if val:
-            out = out + DiagramElement.from_diagram(m.keys[i]).scale(_as_delta_poly(val))
-    return out
-
-
-def _as_delta_poly(rf):
-    if rf.den.is_one():
-        return rf.num
-    return rf
+    return DiagramElement(x.n, {m.keys[i]: delta_restore(c) for i, c in x.coeffs.items()})

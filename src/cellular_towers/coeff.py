@@ -19,14 +19,15 @@ Three types cover every algebra in the package:
 
 The indeterminates used in practice are q, z and δ, always in this order
 when they appear together.  `delta_eliminate` is the quotient map onto
-Q(q, z) that sends δ to (z⁻¹ − z)/(q⁻¹ − q) + 1 = (q·z − q·z⁻¹ + q² − 1)/(q² − 1).
+Q(q, z) that sends δ to (z⁻¹ − z)/(q⁻¹ − q) + 1 = (q·z − q·z⁻¹ + q² − 1)/(q² − 1);
+`delta_restore` reads its image back at q = z = 1, with δ free, in Z[δ].
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache, reduce
-from math import gcd as int_gcd
+from math import factorial, gcd as int_gcd
 from operator import add
 
 from ._kernel import (
@@ -1448,3 +1449,38 @@ def delta_eliminate(p):
         if d in parts:
             acc = terms_add(acc, terms_mul(parts[d], _q_factor(QZV, m - d, m - d)))
     return _lf(QZV, acc, 1, m)
+
+
+def delta_restore(x):
+    """The value at q = z = 1, in Z[δ], of the element of
+    R = Z[q^±1, z^±1, δ] / ((δ − 1)(q² − 1) − q(z − z⁻¹)) that
+    `delta_eliminate` sends to the LaurentFraction x over (q, z).
+
+    Along z = q^a, δ's image tends to a + 1 as q → 1, so for
+    x = Σ_e l_e q^e_q z^e_z / (c·(q² − 1)^k) the value at δ is the limit of
+    x there: the k-th Taylor coefficient at q = 1 of the numerator over
+    c·2^k, Σ_e l_e·binom(e_q + (δ − 1)·e_z, k) / (c·2^k).  The j-th sums
+    for j < k must vanish identically in δ.  Each sum is taken times j!, as
+    falling factorials in δ, so the only division is the exact one by
+    k!·c·2^k.  Raises SpecializationError when x is not such a
+    LaurentFraction, when a lower sum does not vanish (a pole) or when the
+    division is inexact: x then lies outside R.
+    """
+    if x.__class__ is not LaurentFraction or x.vars != QZV:
+        raise SpecializationError(f"{x} is not the image of an element of R")
+    k = x.k
+    sums = [[0] * (j + 1) for j in range(k + 1)]  # j!·(j-th sum), δ^0 first
+    for (eq, ez), l in x.terms.items():
+        # ff = l·m(m − 1)…(m − j + 1) for m = e_q − e_z + e_z·δ
+        ff = [l]
+        for j, s in enumerate(sums):
+            for i, c in enumerate(ff):
+                s[i] += c
+            b = eq - ez - j
+            ff = [b * c + ez * d for c, d in zip(ff + [0], [0] + ff)]
+    if any(any(s) for s in sums[:-1]):
+        raise SpecializationError(f"{x} has a pole at q = z = 1")
+    den = factorial(k) * x.c << k
+    if any(c % den for c in sums[k]):
+        raise SpecializationError(f"{x} does not specialize into Z[δ]")
+    return LaurentPoly(DV, {(i,): c // den for i, c in enumerate(sums[k]) if c})

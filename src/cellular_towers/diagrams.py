@@ -58,9 +58,9 @@ def _vkey(v):
 
 
 def _canon_blocks(blocks):
-    return tuple(
-        sorted((tuple(sorted(b, key=_vkey)) for b in blocks), key=lambda b: _vkey(b[0]))
-    )
+    # an empty block sorts first, for the constructor to reject
+    blocks = (tuple(sorted(b, key=_vkey)) for b in blocks)
+    return tuple(sorted(blocks, key=lambda b: _vkey(b[0]) if b else ()))
 
 
 class _Diagram:
@@ -72,7 +72,11 @@ class _Diagram:
     def __init__(self, n, blocks):
         blocks = _canon_blocks(blocks)
         seen = [v for b in blocks for v in b]
-        if sorted(seen) != [*range(-n, 0), *range(1, n + 1)] or not self._sizes_ok(blocks):
+        if (
+            sorted(seen) != [*range(-n, 0), *range(1, n + 1)]
+            or not all(blocks)
+            or not self._sizes_ok(blocks)
+        ):
             raise DomainError(f"not a {self._what} on {n} strands: {blocks}")
         self.n = n
         self.blocks = blocks

@@ -24,8 +24,8 @@ residual entry or a step's value; any other field element computes
 `s - c * g`, so the solver stays generic.  A stored row's own pivot entry
 always cancels, so it is never computed.
 
-The algebra elements of the Hecke, group-algebra and diagram towers are
-the same kind of sparse map, key to nonzero coefficient: `SparseElement`
+The algebra elements of the Hecke, group-algebra, diagram and BMW towers
+are the same kind of sparse map, key to nonzero coefficient: `SparseElement`
 holds one, and `acc` is the single accumulate step every element product
 and sum goes through.
 """

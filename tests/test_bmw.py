@@ -30,6 +30,7 @@ from cellular_towers.coeff import (
     RationalFunction,
     delta_as_qz,
     delta_eliminate,
+    specialize,
 )
 from cellular_towers.diagrams import (
     BrauerDiagram,
@@ -37,7 +38,12 @@ from cellular_towers.diagrams import (
     brauer_basis,
     double_factorial_odd,
 )
-from cellular_towers.errors import BoundExceededError, DomainError, InternalInvariantError
+from cellular_towers.errors import (
+    BoundExceededError,
+    DomainError,
+    InternalInvariantError,
+    SpecializationError,
+)
 from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
 from cellular_towers.framework import cellular_basis
@@ -222,9 +228,9 @@ def rows_product(x, y):
     y."""
     m = bmw_model(x.n)
     coords = {}
-    for i, c in y.coords.items():
+    for i, c in y.coeffs.items():
         rows = _mult_rows(x.n, m.keys[i])
-        for j, cj in x.coords.items():
+        for j, cj in x.coeffs.items():
             for k, r in rows[j].items():
                 acc(coords, k, cj * r * c)
     return coords
@@ -341,7 +347,7 @@ def test_model_stays_in_laurent_fractions(n):
 def test_cellular_basis_stays_in_laurent_fractions():
     datum = cellular_basis("bmw", 3)
     for x in datum.elements.values():
-        assert x.coords and all(type(c) is LaurentFraction for c in x.coords.values())
+        assert x.coeffs and all(type(c) is LaurentFraction for c in x.coeffs.values())
 
 
 def test_rank_4_model():
@@ -419,13 +425,13 @@ def test_product_matches_rows_reference():
                 + BMWElement.from_word(n, rand_word(rng, n), QP)
                 for _ in range(2)
             )
-            assert (x * y).coords == rows_product(x, y)
+            assert (x * y).coeffs == rows_product(x, y)
     basis = list(cellular_basis("bmw", 3).elements.values())
     for _ in range(20):
         x, y = rng.choice(basis), rng.choice(basis)
-        assert (x * y).coords == rows_product(x, y)
+        assert (x * y).coeffs == rows_product(x, y)
         x, y = x.embed(4), y.embed(4)
-        assert (x * y).coords == rows_product(x, y)
+        assert (x * y).coeffs == rows_product(x, y)
 
 
 def test_subtraction_rejects_other_operands():
@@ -468,13 +474,12 @@ def test_word_and_coordinate_representations_agree():
     rng = random.Random(7)
     for n, count in ((3, 30), (4, 10)):
         m = bmw_model(n)
-        one = BMWElement.one(n).coords
+        one = BMWElement.one(n).coeffs
         for _ in range(count):
-            x = BMWElement.from_word(n, rand_word(rng, n))
-            y = BMWElement.from_word(n, rand_word(rng, n))
-            p = x * y
+            wx, wy = rand_word(rng, n), rand_word(rng, n)
+            p = BMWElement.from_word(n, wx) * BMWElement.from_word(n, wy)
             acc = {}
-            for w, c in p.words.items():
+            for w, c in _eager_product(reduce_word(wx), reduce_word(wy)).items():
                 f = delta_eliminate(c)
                 for i, cc in m.apply(one, w).items():
                     s = acc.get(i)
@@ -483,7 +488,7 @@ def test_word_and_coordinate_representations_agree():
                         acc[i] = s
                     else:
                         acc.pop(i, None)
-            assert acc == p.coords
+            assert acc == p.coeffs
 
 
 def test_quotient_to_hecke():
@@ -584,8 +589,8 @@ def test_associativity_sample_n3():
         assert (a * b) * c == a * (b * c)
 
 
-# eager word maps, formed the way every operation formed them before the
-# words became lazy
+# eager word maps over Z[q^{±1}, z^{±1}, delta], formed by `reduce_word`:
+# the reference for the Brauer specialization
 
 
 def _eager_rewritten(words, change):
@@ -612,37 +617,93 @@ def _eager_sum(w1, w2):
     return out
 
 
-def test_words_are_formed_on_first_read(monkeypatch):
-    """Products, sums, scalings, stars, tokens and embeddings rewrite no
-    word until `words` is read; then the maps, and the Brauer images read
-    from them, equal the eager ones."""
+def _eager_scaled(words, f):
+    return {w: p for w, c in words.items() if (p := c * f)}
+
+
+def _words_to_brauer(n, words):
+    """The word map specialized at q = z = 1 term by term: each word's
+    diagram product, scaled by its coefficient's value in Z[delta]."""
+    one_d = RationalFunction.one(DV)
+    out = DiagramElement(n)
+    for w, c in words.items():
+        val = specialize(c, {"q": one_d, "z": one_d}, DV)
+        assert val.den.is_one()
+        el = DiagramElement.one(n)
+        for t in w:
+            d = BrauerDiagram.s(t, n) if t > 0 else BrauerDiagram.e(-t, n)
+            el = el * DiagramElement.from_diagram(d)
+        out = out + el.scale(val.num)
+    return out
+
+
+def _rand_scalar(rng):
+    """A Laurent polynomial in q, z and delta with no negative power of
+    delta: an int, a signed monomial, or a sum of two."""
+    def monomial():
+        exp = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2))
+        return LaurentPoly(QZDV, {exp: rng.choice((-2, -1, 1, 3))})
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return LaurentPoly.const(QZDV, rng.choice((-1, 2)))
+    return monomial() if kind == 1 else monomial() + monomial()
+
+
+def _rand_pair(rng, n, depth=2):
+    """A random element of rank n with its eager word map: words with
+    scalars, g_inv, sums, negated differences, scalings, products, stars,
+    tokens and, from rank n - 1, embeddings."""
+    kind = rng.randrange(9) if depth else 0
+    if kind == 0 or n == 1 and kind in (2, 7):
+        w, f = rand_word(rng, n) if n > 1 else (), _rand_scalar(rng)
+        return BMWElement.from_word(n, w, f), _eager_scaled(reduce_word(w), f)
+    if kind == 1:
+        x, wx = _rand_pair(rng, n, depth - 1)
+        y, wy = _rand_pair(rng, n, depth - 1)
+        return x * y, _eager_product(wx, wy)
+    if kind == 2:
+        i = rng.randint(1, n - 1)
+        tw = LaurentPoly.gen(QZDV, "q") - LaurentPoly.gen(QZDV, "q", -1)
+        words = _eager_sum(reduce_word((i,)), {(): -tw})
+        return BMWElement.g_inv(n, i), _eager_sum(words, _eager_scaled(reduce_word((-i,)), tw))
+    if kind in (3, 4):
+        x, wx = _rand_pair(rng, n, depth - 1)
+        y, wy = _rand_pair(rng, n, depth - 1)
+        if kind == 3:
+            return x + y, _eager_sum(wx, wy)
+        return -(y - x), _eager_sum(wx, _eager_scaled(wy, -1))
+    x, wx = _rand_pair(rng, n if kind != 8 or n == 1 else n - 1, depth - 1)
+    if kind == 5:
+        f = _rand_scalar(rng)
+        return x.scale(f), _eager_scaled(wx, f)
+    if kind == 6:
+        return x.star(), _eager_rewritten(wx, lambda w: w[::-1])
+    if kind == 7:
+        t = rng.choice([i for i in range(1, n)] + [-i for i in range(1, n)])
+        return x.times_token(t), _eager_rewritten(wx, lambda w: w + (t,))
+    return x.embed(n), wx
+
+
+def test_brauer_specialization_matches_word_reference():
+    """bmw_to_brauer, read from the coordinates, against the eager word
+    maps specialized at q = z = 1, on random elements of ranks 1-4."""
     rng = random.Random(12)
-    xs = [BMWElement.from_word(3, rand_word(rng, 3)) for _ in range(6)]
-    calls = []
-    rewrite = bmw.reduce_word
-    monkeypatch.setattr(bmw, "reduce_word", lambda w: calls.append(w) or rewrite(w))
-    for x, y in zip(xs[::2], xs[1::2]):
-        p = x * y
-        chain = (p + x.scale(QP)).star().times_token(-1) - y
-        wide = chain.embed(4)
-        assert calls == []
-        want_p = _eager_product(x.words, y.words)
-        scaled = {w: c * QP for w, c in x.words.items()}
-        want = _eager_rewritten(_eager_sum(want_p, scaled), lambda w: w[::-1])
-        want = _eager_rewritten(want, lambda w: w + (-1,))
-        want = _eager_sum(want, {w: -c for w, c in y.words.items()})
-        for got, expected in ((p, want_p), (wide, want), (chain, want)):
-            assert got.words == expected
-            eager = BMWElement(got.n, got.coords, expected)
-            assert bmw_to_brauer(got) == bmw_to_brauer(eager)
-        assert calls
-        calls.clear()
-        assert bmw_to_brauer(p) == bmw_to_brauer(x) * bmw_to_brauer(y)
-    # no word map without an operand's map, and a long sum reads without
-    # deep recursion
-    assert (xs[0] * BMWElement(3, xs[1].coords)).words is None
-    total = BMWElement.one(3)
-    for _ in range(3000):
-        total = total + xs[0]
-    times = {w: c * 3000 for w, c in xs[0].words.items()}
-    assert total.words == _eager_sum(BMWElement.one(3).words, times)
+    for n, count in ((1, 20), (2, 60), (3, 60), (4, 20)):
+        for _ in range(count):
+            x, words = _rand_pair(rng, n)
+            assert bmw_to_brauer(x) == _words_to_brauer(n, words)
+
+
+def test_brauer_specialization_rejects_values_outside_the_ground_ring():
+    """A pole at q = 1, a RationalFunction coordinate, a delta^-1 scalar
+    and a non-integral value each raise SpecializationError."""
+    one = BMWElement.one(2)
+    pole = LaurentFraction(LaurentPoly.one(QZV), 1, 1)  # 1 / (q^2 - 1)
+    q, z = LaurentPoly.gen(QZV, "q"), LaurentPoly.gen(QZV, "z")
+    rational = RationalFunction(LaurentPoly.one(QZV), q + z)
+    half = LaurentFraction(LaurentPoly.one(QZV), 2)
+    for f in (pole, rational, LaurentPoly.gen(QZDV, "δ", -1), half):
+        with pytest.raises(SpecializationError):
+            bmw_to_brauer(one.scale(f))
+    assert bmw_to_brauer(one.scale(pole * (q * q - 1))) == DiagramElement.one(2)

@@ -441,6 +441,7 @@ def test_size_mismatch_raises():
         [(1, -1), (3, -2)],  # 3 out of range, 2 missing
         [(1, -1), (2, -2), (3, -3)],  # 3 and -3 out of range
         [(1, 0), (2, -2), (-1,)],  # 0 is no vertex
+        [(1, -1), (2, -2), ()],  # an empty block
     ],
 )
 def test_constructors_reject_bad_vertex_sets(kind, blocks):
