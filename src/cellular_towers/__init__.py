@@ -17,7 +17,6 @@ from .coeff import (
     RationalFunction,
     Z,
     delta_eliminate,
-    specialize,
 )
 from .framework import (
     a_hat,
@@ -42,7 +41,6 @@ __all__ = [
     "LaurentPoly",
     "LaurentFraction",
     "RationalFunction",
-    "specialize",
     "delta_eliminate",
     "Q",
     "Z",

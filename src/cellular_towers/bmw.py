@@ -12,7 +12,8 @@ delta is eliminated.  Coefficients are LaurentFraction values
 L / (c (q^2 - 1)^k): delta's image has the denominator q^2 - 1, and
 with the solvers pivoting on values that invert in that ring, no value
 through rank 5 needs another, so no polynomial gcd is taken; a value
-outside the ring would be a RationalFunction.
+outside the ring (a delta^-1 scalar, say) is the RationalFunction that
+LaurentFraction.inverse builds.
 The certificate:
 
 - The enumerated module is cyclic, generated by b_0, and every

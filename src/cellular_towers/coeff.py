@@ -14,8 +14,11 @@ Three types cover every algebra in the package:
   RationalFunction only when it inverts an L that is not a monomial times
   powers of q − 1 and q + 1.
 * :class:`RationalFunction` -- reduced fractions of Laurent polynomials,
-  normalized so equal values compare structurally equal.  It covers every
-  value LaurentFraction cannot hold, `specialize` and the public API.
+  normalized so equal values compare structurally equal: the fallback
+  field.  Outside its own methods, only `LaurentFraction.inverse` builds
+  one; the solvers reach it through a pivot that does not invert in
+  LaurentFraction's ring (a non-integral basis), and `delta_eliminate`
+  through a negative power of δ.
 
 The indeterminates used in practice are q, z and δ, always in this order
 when they appear together.  `delta_eliminate` is the quotient map onto
@@ -45,19 +48,10 @@ Q = "q"
 Z = "z"
 DELTA = "δ"
 
-#: canonical global ordering of the symbols (design decision: fixed order
-#: makes term maps canonical, so structural equality works as an oracle)
-SYMBOL_ORDER = (Q, Z, DELTA)
-
 QV = (Q,)
 DV = (DELTA,)
 QZV = (Q, Z)
 QZDV = (Q, Z, DELTA)
-
-
-def ordered_vars(names):
-    extra = [v for v in names if v not in SYMBOL_ORDER]
-    return tuple(v for v in SYMBOL_ORDER if v in names) + tuple(sorted(extra))
 
 
 class LaurentPoly:
@@ -889,8 +883,9 @@ class LaurentFraction:
 
     Inverting L stays in the type when L is a monomial times
     (q − 1)^a (q + 1)^b, since 1/(q ∓ 1) = (q ± 1)/(q² − 1); inverting any
-    other L gives the RationalFunction c·(q² − 1)^k / L.  An operation with
-    a RationalFunction operand returns NotImplemented, so RationalFunction
+    other L gives the RationalFunction c·(q² − 1)^k / L, the one way into
+    the fallback field.  An operation with a RationalFunction operand,
+    comparison included, returns NotImplemented, so RationalFunction
     computes it.  `num`, `den`, `str` and `to_json` are those of the equal
     RationalFunction, which also compares and hashes equal.
     """
@@ -1050,8 +1045,6 @@ class LaurentFraction:
                 and self.terms == other.terms
                 and self.vars == other.vars
             )
-        if isinstance(other, RationalFunction):
-            return other == self
         try:
             o = self._coerce(other)
         except CoefficientRingError:
@@ -1349,63 +1342,8 @@ def _q_factor(vars, i, j):
 
 
 # ---------------------------------------------------------------------------
-# specialization
+# δ-elimination and its inverse at q = z = 1
 # ---------------------------------------------------------------------------
-
-
-def specialize(p, assignment, target_vars=None):
-    """Substitute RationalFunction values for some indeterminates of p.
-
-    `assignment` maps symbol names to RationalFunction (or LaurentFraction,
-    LaurentPoly or int) values over a common target variable tuple;
-    unassigned symbols are retained and must appear among the target
-    variables.  Substitution is a ring homomorphism; a zero denominator
-    raises SpecializationError.
-    """
-    if isinstance(p, LaurentFraction):
-        p = RationalFunction(*p._num_den(), _reduced=True)
-    if isinstance(p, RationalFunction):
-        den = specialize(p.den, assignment, target_vars)
-        if den.is_zero():
-            raise SpecializationError(f"denominator {p.den} vanishes under {assignment}")
-        return specialize(p.num, assignment, target_vars) / den
-    if target_vars is None:
-        names = set()
-        for v in assignment.values():
-            if isinstance(v, (LaurentPoly, LaurentFraction, RationalFunction)):
-                names.update(v.vars)
-        names.update(v for v in p.vars if v not in assignment)
-        target_vars = ordered_vars(names)
-    target_vars = tuple(target_vars)
-    values = []
-    for v in p.vars:
-        if v in assignment:
-            val = assignment[v]
-            if isinstance(val, int):
-                val = RationalFunction.const(target_vars, val)
-            elif isinstance(val, LaurentPoly):
-                val = RationalFunction.from_poly(val.extend_vars(target_vars))
-            elif val.vars != target_vars:
-                raise CoefficientRingError(
-                    f"assignment for {v} is over {val.vars}, expected {target_vars}"
-                )
-            elif isinstance(val, LaurentFraction):
-                val = RationalFunction(*val._num_den(), _reduced=True)
-        else:
-            if v not in target_vars:
-                raise CoefficientRingError(f"retained symbol {v} missing from target")
-            val = RationalFunction.gen(target_vars, v)
-        values.append(val)
-    out = RationalFunction.zero(target_vars)
-    for exp, c in p.terms.items():
-        term = RationalFunction.const(target_vars, c)
-        for val, x in zip(values, exp):
-            if x:
-                if x < 0 and val.is_zero():
-                    raise SpecializationError("negative power of zero under specialization")
-                term = term * val ** x
-        out = out + term
-    return out
 
 
 @cache
@@ -1418,19 +1356,16 @@ def delta_as_qz():
 
 
 def delta_eliminate(p):
-    """Image of p (over any subset of {q, z, δ}) in Q(q, z) with δ eliminated.
+    """Image of the Laurent polynomial p (over any subset of {q, z, δ}) in
+    Q(q, z) with δ eliminated.
 
-    A Laurent polynomial with no negative power of δ maps into the
-    LaurentFraction ring: writing δ = L_δ / (q² − 1) and m for the top power
-    of δ, p = Σ_d P_d δ^d maps to Σ_d P_d L_δ^d (q² − 1)^(m−d) / (q² − 1)^m,
-    summed by Horner's rule.  A negative power of δ leaves the ring (L_δ is
-    not a monomial times powers of q ∓ 1), and goes through `specialize`.
+    With δ = L_δ / (q² − 1), p = Σ_d P_d δ^d, m its top power of δ and lo
+    its lowest, or 0 if none is negative, δ^(−lo)·p maps to
+    Σ_d P_d L_δ^(d − lo) (q² − 1)^(m − d) / (q² − 1)^(m − lo) in the
+    LaurentFraction ring, summed by Horner's rule.  δ is not a unit of R,
+    so a negative lo leaves the ring: the sum is multiplied by δ⁻¹, the
+    RationalFunction that `LaurentFraction.inverse` gives, to the power −lo.
     """
-    if isinstance(p, (RationalFunction, LaurentFraction)):
-        den = delta_eliminate(p.den)
-        if den.is_zero():
-            raise SpecializationError("denominator vanishes under delta elimination")
-        return delta_eliminate(p.num) / den
     if DELTA not in p.vars:
         return LaurentFraction.of(p, QZV)
     p = p.extend_vars(QZDV)
@@ -1439,16 +1374,15 @@ def delta_eliminate(p):
         parts.setdefault(e[2], {})[e[:2]] = c
     if not parts:
         return _lf_raw(QZV, {}, 1, 0)
-    if min(parts) < 0:
-        return specialize(p, {DELTA: delta_as_qz()}, QZV)
-    m = max(parts)
+    lo, m = min(min(parts), 0), max(parts)
     lifted = delta_as_qz().terms
     acc = parts[m]
-    for d in range(m - 1, -1, -1):
+    for d in range(m - 1, lo - 1, -1):
         acc = terms_mul(acc, lifted)
         if d in parts:
             acc = terms_add(acc, terms_mul(parts[d], _q_factor(QZV, m - d, m - d)))
-    return _lf(QZV, acc, 1, m)
+    x = _lf(QZV, acc, 1, m - lo)
+    return x * delta_as_qz().inverse() ** -lo if lo else x
 
 
 def delta_restore(x):

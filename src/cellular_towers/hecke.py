@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .coeff import Q, QV, LaurentPoly, RationalFunction, specialize
+from .coeff import Q, QV, LaurentPoly
 from .combinatorics import (
     garnir_tableau,
     partitions_of,
@@ -39,7 +39,7 @@ from .combinatorics import (
     tableau_restrict,
     tableau_type_map,
 )
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, SpecializationError
 from .linalg import SparseElement, SpanSolver, acc
 
 QPOLY = LaurentPoly.gen(QV, Q)
@@ -620,8 +620,12 @@ class SymmetricGroupElement(SparseElement):
 
 
 def symmetric_group_specialize(x):
-    """Set q := 1; lands in the group algebra with rational coefficients."""
-    one = RationalFunction.one(())
-    return SymmetricGroupElement(
-        x.n, {w: specialize(c, {Q: one}, ()) for w, c in x.coeffs.items()}
-    )
+    """Set q := 1: the group-algebra element whose coefficient at w sums the
+    integers of x's coefficient at w, a LaurentPoly over (q,) as the
+    HeckeElement operations keep it; any other raises SpecializationError."""
+    out = {}
+    for w, c in x.coeffs.items():
+        if not isinstance(c, LaurentPoly) or c.vars != QV:
+            raise SpecializationError(f"coefficient {c} is not a LaurentPoly in Z[q^±1]")
+        acc(out, w, sum(c.terms.values()))
+    return SymmetricGroupElement._raw(x.n, out)

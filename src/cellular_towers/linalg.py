@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over a fraction field.
 
 Vectors are dicts mapping hashable keys to field elements (anything with
-+, -, *, /, inverse and truthiness, e.g. LaurentFraction or
-RationalFunction, which may meet in one vector).  SpanSolver
++, -, *, /, inverse and truthiness): LaurentFraction values, joined by
+RationalFunctions only where a pivot does not invert in LaurentFraction's
+ring (a non-integral basis; see SpanSolver.insert).  SpanSolver
 tracks a row space incrementally -- the single reduction path used for
 every "rank certificate" in the package.
 
@@ -171,8 +172,9 @@ class SpanSolver:
     A new row's pivot is the first residual key, in `pivot_key` order when
     one is given and in the residual's key order otherwise, whose value
     inverts inside its own type (`coeff.inverts_in_type`), so that a
-    LaurentFraction pivot never turns the row into RationalFunctions; the
-    first key when no value does.  Coordinates over the inserted vectors
+    LaurentFraction pivot keeps the row in its ring; the first key when no
+    value does, as on a non-integral basis, and the row then holds the
+    RationalFunctions of that pivot's inverse.  Coordinates over the inserted vectors
     are unique and the determinant does not depend on the pivots, so the
     choice changes no answer, only the work.
 

@@ -291,8 +291,8 @@ class BMWTower(_TowerBase):
     has_contractions = True
     default_bound = _bmw.DEFAULT_BOUND
     # products for axiom checks at index n live in rank n+1; the rank-4
-    # model takes about 0.5 s to build and certify, so the default sweep
-    # stops at n = 2 and a rank-3 verify never builds rank 4
+    # model takes about 0.35 s to build and certify (2 vCPUs), so the
+    # default sweep stops at n = 2 and a rank-3 verify never builds rank 4
     axiom_bound = 2
 
     def dim(self, n):

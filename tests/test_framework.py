@@ -32,6 +32,7 @@ from cellular_towers.hecke import (
     d_branching,
     m_lambda,
     murphy_element,
+    SymmetricGroupElement,
     symmetric_group_specialize,
     u_branching,
 )
@@ -188,6 +189,27 @@ def test_framework_axioms():
         verify_framework_axioms("hecke", 2)
 
 
+def test_quotient_map_certificate_rejects_every_perturbation(monkeypatch):
+    # doubling pi's coefficient on one permutation diagram of brauer 4 keeps
+    # pi linear but breaks multiplicativity; the certificate must see it at
+    # every one of the 24 such diagrams, including those that a sample of
+    # basis pairs and their products never reaches
+    t = tower("brauer")
+    pi = t.pi
+    perms = [d for d in t.basis_keys(4) if d.is_permutation()]
+    assert len(perms) == 24
+    for d in perms:
+        def doubled(x, n, d=d):
+            out = pi(x, n)
+            c = x.coeffs.get(d)
+            return out + SymmetricGroupElement(out.n, {d.permutation(): c}) if c else out
+
+        monkeypatch.setattr(t, "pi", doubled)
+        rep = verify_framework_axioms("brauer", 4)
+        assert not rep["checks"]["axiom3_quotient_map"], str(d)
+        assert rep["checks"]["axiom3_corank"]
+
+
 def test_restriction_filtration_brauer_n2():
     rep = restriction_filtration_a("brauer", ((), 1), 2)
     assert rep["pass"]
@@ -239,8 +261,7 @@ def _young_edges(i):
 def _at_q1(x, kind):
     """A Hecke element at q = 1 as permutation diagrams over Z[delta]."""
     g = symmetric_group_specialize(x)
-    assert all(c.den.is_one() for c in g.coeffs.values())
-    return symmetric_to_diagrams(g, kind).map_coefficients(lambda c: c.num.extend_vars(DV))
+    return symmetric_to_diagrams(g, kind).map_coefficients(lambda c: LaurentPoly.const(DV, c))
 
 
 @pytest.mark.parametrize("name", ["brauer", "partition"])
@@ -381,20 +402,29 @@ def test_tower_pivot_order_keeps_coordinates_and_det(name, n, monkeypatch):
 @pytest.mark.parametrize("name,n", [("hecke", 4), ("brauer", 4), ("bmw", 3), ("bmw", 4)])
 def test_bases_and_checks_take_no_polynomial_gcd(name, n, monkeypatch):
     # every value met through bmw 4 lies in LaurentFraction's ring, and the
-    # pivots invert there, so no poly_gcd runs; the BMW model is built
-    # afresh, since bmw_model keeps the one built first
-    calls = []
+    # pivots invert there, so no poly_gcd runs and no RationalFunction is
+    # built; the BMW model is built afresh, since bmw_model keeps the one
+    # built first
+    calls, built = [], []
     gcd = coeff.poly_gcd
+    init = coeff.RationalFunction.__init__
 
     def counted(a, b):
         calls.append((a, b))
         return gcd(a, b)
 
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(coeff, "poly_gcd", counted)
+    monkeypatch.setattr(coeff.RationalFunction, "__init__", counted_init)
     if name == "bmw":
         bmw._Model(n)
     assert verify_cell_datum(CellDatum(name, n))["pass"]
-    assert calls == []
+    assert calls == [] and built == []
+    coeff.RationalFunction.one(coeff.QV)  # the probe sees a construction
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

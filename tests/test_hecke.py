@@ -18,7 +18,7 @@ from cellular_towers.combinatorics import (
     superstandard_tableau,
     tableau_type_map,
 )
-from cellular_towers.errors import DomainError
+from cellular_towers.errors import DomainError, SpecializationError
 from cellular_towers.hecke import (
     HeckeElement,
     apply_perm_to_tableau,
@@ -381,14 +381,19 @@ def test_permutation_module_span_is_compared(monkeypatch):
 
 
 def test_symmetric_group_specialization():
-    # T1^2 at q = 1 is the identity
+    # T1^2 at q = 1 is the identity, with integer coefficients
     x = HeckeElement.t_gen(3, 1).times_gen(1)
     g = symmetric_group_specialize(x)
-    one = RationalFunction.one(())
-    assert g.coeffs == {perm_id(3): one}
+    assert g.coeffs == {perm_id(3): 1} and type(g.coeffs[perm_id(3)]) is int
     # m_(2) -> 1 + s1
     g = symmetric_group_specialize(m_lambda((2,)))
-    assert g.coeffs == {(1, 2): one, (2, 1): one}
+    assert g.coeffs == {(1, 2): 1, (2, 1): 1}
+    # the twist q - q^-1 maps to 0
+    assert symmetric_group_specialize(HeckeElement.one(2).scale(QP - QI)).is_zero()
+    # a coefficient outside Z[q^±1] has no value at q = 1
+    pole = RationalFunction(LaurentPoly.one(QV), QP - 1)
+    with pytest.raises(SpecializationError):
+        symmetric_group_specialize(HeckeElement.one(2).scale(pole))
     # specialization commutes with products on 100 random pairs
     rng = random.Random(13)
     els = [HeckeElement.t_perm(3, w) for w in all_perms(3)]
