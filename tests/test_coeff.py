@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -92,6 +93,20 @@ def test_rational_field_ops():
         assert (a + b) * c == a * c + b * c
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+def test_specialize_q_one_kills_twist():
+    # the twist q - q^-1 of the quadratic relation maps to 0 at q := 1, on
+    # every standard basis element of H_3; q itself maps to the integer 1
+    from cellular_towers.hecke import HeckeElement, symmetric_group_specialize
+
+    q = LaurentPoly.gen(QV, Q)
+    qi = LaurentPoly.gen(QV, Q, -1)
+    for w in itertools.permutations(range(1, 4)):
+        t = HeckeElement.t_perm(3, w)
+        assert symmetric_group_specialize(t.scale(q - qi)).is_zero()
+        g = symmetric_group_specialize(t.scale(q))
+        assert g.coeffs == {w: 1} and type(g.coeffs[w]) is int
 
 
 def test_delta_eliminate_relation():

@@ -388,8 +388,6 @@ def test_symmetric_group_specialization():
     # m_(2) -> 1 + s1
     g = symmetric_group_specialize(m_lambda((2,)))
     assert g.coeffs == {(1, 2): 1, (2, 1): 1}
-    # the twist q - q^-1 maps to 0
-    assert symmetric_group_specialize(HeckeElement.one(2).scale(QP - QI)).is_zero()
     # a coefficient outside Z[q^±1] has no value at q = 1
     pole = RationalFunction(LaurentPoly.one(QV), QP - 1)
     with pytest.raises(SpecializationError):
