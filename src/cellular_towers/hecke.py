@@ -157,10 +157,13 @@ class HeckeElement(SparseElement):
             raise DomainError(f"generator index {i} out of range for rank {self.n}")
         out = {}
         for w, c in self.coeffs.items():
-            ws = perm_mul(w, perm_s(i, self.n))
-            acc(out, ws, c)
+            # w s_i swaps the values i and i+1 of w
+            a, b = w.index(i), w.index(i + 1)
+            ws = list(w)
+            ws[a], ws[b] = i + 1, i
+            acc(out, tuple(ws), c)
             # l(w s_i) < l(w) iff the value i+1 appears before the value i
-            if w.index(i) > w.index(i + 1):
+            if a > b:
                 acc(out, w, c * TWIST)
         return HeckeElement._raw(self.n, out)
 
@@ -185,10 +188,12 @@ class HeckeElement(SparseElement):
         if isinstance(other, HeckeElement):
             if other.n != self.n:
                 raise DomainError("rank mismatch")
-            out = HeckeElement(self.n)
+            # self·(Σ c·T_w) = Σ (self·T_w)·c, summed into one map
+            out = {}
             for w, c in other.coeffs.items():
-                out = out + self.times_word(reduced_word(w)).scale(c)
-            return out
+                for v, x in self.times_word(reduced_word(w)).coeffs.items():
+                    acc(out, v, x * c)
+            return HeckeElement._raw(self.n, out)
         return self.scale(other)
 
     def star(self):

@@ -2,10 +2,10 @@
 
 Vectors are dicts mapping hashable keys to field elements (anything with
 +, -, *, /, inverse and truthiness): LaurentFraction values, joined by
-RationalFunctions only where a pivot does not invert in LaurentFraction's
-ring (a non-integral basis; see SpanSolver.insert).  SpanSolver
-tracks a row space incrementally -- the single reduction path used for
-every "rank certificate" in the package.
+`ratfunc.RationalFunction` values only where a pivot does not invert in
+LaurentFraction's ring (a non-integral basis; see SpanSolver.insert).
+SpanSolver tracks a row space incrementally -- the single reduction path
+used for every "rank certificate" in the package.
 
 Its stored rows are kept fully reduced, so pivots, ranks and determinants
 come straight from them.  Coordinates over the inserted vectors are not
@@ -23,7 +23,9 @@ LaurentFraction coefficient becomes a term map over a running common
 denominator, updated in place and normalized once, when it becomes a
 residual entry or a step's value; any other field element computes
 `s - c * g`, so the solver stays generic.  A stored row's own pivot entry
-always cancels, so it is never computed.
+always cancels, so it is never computed.  A new row is subtracted from
+each stored row that holds its pivot in place, touching only the new
+row's keys.
 
 The algebra elements of the Hecke, group-algebra, diagram and BMW towers
 are the same kind of sparse map, key to nonzero coefficient: `SparseElement`
@@ -60,6 +62,22 @@ def _eliminate(out, subtractions):
             elif r is not s:
                 out[key] = r
     return {key: _acc_value(s) for key, s in out.items()}
+
+
+def _back_reduce(r, row, pivot, g):
+    """r − g·row in place, for a stored row r that held g at the new row's
+    `pivot`, already popped: only the keys of `row` are touched, each
+    normalized once, in row's key order.  The values and the key order are
+    those `_eliminate` gives on a copy of r."""
+    for key, c in row.items():
+        if key is pivot:
+            continue
+        s = r.get(key)
+        t = _acc_value(_acc_submul(s, c, g))
+        if t:
+            r[key] = t
+        elif s is not None:
+            del r[key]
 
 
 def vec_scale(a, f):
@@ -239,14 +257,12 @@ class SpanSolver:
         row = vec_scale(residual, inv)
         pos, users = self._pos, self._users
         here = len(self.pivots)
-        # keep stored rows fully reduced against the new pivot
+        # keep stored rows fully reduced against the new pivot, in place
         upper = {}
-        for k, r in list(self.by_key.items()):
-            g = r.get(pivot)
+        for k, r in self.by_key.items():
+            g = r.pop(pivot, None)
             if g is not None:
-                r = dict(r)
-                del r[pivot]
-                self.by_key[k] = _eliminate(r, ((row, pivot, g),))
+                _back_reduce(r, row, pivot, g)
                 upper[pos[k]] = g
                 users[pos[k]].append(here)
         self.by_key[pivot] = row

@@ -12,6 +12,10 @@ T_w at Hecke, whose induction coefficient keeps Murphy's power of q.
 Levels: for Brauer/TL/BMW, level n is the algebra on n strands.  For the
 partition tower, level 2i is the whole partition algebra on i strands and
 level 2i+1 is the half-integer subalgebra inside i+1 strands.
+
+`diagrams` and `bmw` load on first use (see the package `__init__`), so
+this module reads them only inside methods and properties, never at
+import: a Hecke run executes neither.
 """
 
 from __future__ import annotations
@@ -20,21 +24,9 @@ import itertools
 import math
 from functools import cache
 
+from . import bmw, diagrams
 from .coeff import DV, QV, QZV
 from .combinatorics import partition_half_levels, singleton_chain, young_lattice
-from .diagrams import (
-    BrauerDiagram,
-    DiagramElement,
-    SetPartitionDiagram,
-    bell_number,
-    brauer_basis,
-    catalan_number,
-    double_factorial_odd,
-    half_level_basis,
-    partition_basis,
-    quotient_to_symmetric,
-    tl_basis,
-)
 from .errors import DomainError
 from .hecke import (
     QPOLY,
@@ -46,7 +38,6 @@ from .hecke import (
     reduced_word,
     young_subgroup,
 )
-from . import bmw as _bmw
 
 
 class _TowerBase:
@@ -116,16 +107,22 @@ class _TowerBase:
 
 
 class _DiagramTowerBase(_TowerBase):
-    """Shared plumbing for the three diagram towers over Z[delta]."""
+    """Shared plumbing for the three diagram towers over Z[delta].  Their
+    keys are diagrams; the diagram kind, `diagram_cls`, is read on use, so
+    importing the towers runs no diagram code."""
 
     field_vars = DV
     has_contractions = True
 
+    @property
+    def diagram_cls(self):
+        return diagrams.BrauerDiagram
+
     def one(self, n):
-        return DiagramElement.one(self.strands(n), self.diagram_cls)
+        return diagrams.DiagramElement.one(self.strands(n), self.diagram_cls)
 
     def zero(self, n):
-        return DiagramElement(self.strands(n))
+        return diagrams.DiagramElement(self.strands(n))
 
     def include(self, x, from_level, to_level):
         if to_level < from_level:
@@ -136,38 +133,37 @@ class _DiagramTowerBase(_TowerBase):
         return x.map_keys(lambda d: d.pad(s), s)
 
     def element_of_key(self, key, n):
-        return DiagramElement.from_diagram(key)
+        return diagrams.DiagramElement.from_diagram(key)
 
     def braid(self, s, word, power):
         """The permutation diagram of word: q = 1 over Z[delta]."""
-        return DiagramElement.from_diagram(
+        return diagrams.DiagramElement.from_diagram(
             self.diagram_cls.from_permutation(perm_from_word(word, s))
         )
 
 
 class BrauerTower(_DiagramTowerBase):
     name = "brauer"
-    diagram_cls = BrauerDiagram
     default_bound = 4
     axiom_bound = 3
 
     def dim(self, n):
-        return double_factorial_odd(n)
+        return diagrams.double_factorial_odd(n)
 
     def h_dim(self, n):
         return math.factorial(n)
 
     def basis_keys(self, n):
-        return brauer_basis(n)
+        return diagrams.brauer_basis(n)
 
     def e_elt(self, i, n):
-        return DiagramElement.from_diagram(BrauerDiagram.e(i, n))
+        return self.element_of_key(diagrams.BrauerDiagram.e(i, n), n)
 
     def generators(self, n):
         out = []
         for i in range(1, n):
-            out.append((f"s{i}", DiagramElement.from_diagram(BrauerDiagram.s(i, n))))
-            out.append((f"e{i}", DiagramElement.from_diagram(BrauerDiagram.e(i, n))))
+            out.append((f"s{i}", self.element_of_key(diagrams.BrauerDiagram.s(i, n), n)))
+            out.append((f"e{i}", self.e_elt(i, n)))
         return out
 
     def h_diagram(self, depth):
@@ -177,32 +173,28 @@ class BrauerTower(_DiagramTowerBase):
         return _most_crossings_first(n)
 
     def pi(self, x, n):
-        return quotient_to_symmetric(x)
+        return diagrams.quotient_to_symmetric(x)
 
 
 class TemperleyLiebTower(_DiagramTowerBase):
     name = "tl"
-    diagram_cls = BrauerDiagram
     default_bound = 6
     axiom_bound = 4
 
     def dim(self, n):
-        return catalan_number(n)
+        return diagrams.catalan_number(n)
 
     def h_dim(self, n):
         return 1
 
     def basis_keys(self, n):
-        return tl_basis(n)
+        return diagrams.tl_basis(n)
 
     def e_elt(self, i, n):
-        return DiagramElement.from_diagram(BrauerDiagram.e(i, n))
+        return self.element_of_key(diagrams.BrauerDiagram.e(i, n), n)
 
     def generators(self, n):
-        return [
-            (f"e{i}", DiagramElement.from_diagram(BrauerDiagram.e(i, n)))
-            for i in range(1, n)
-        ]
+        return [(f"e{i}", self.e_elt(i, n)) for i in range(1, n)]
 
     def h_diagram(self, depth):
         return singleton_chain(depth)
@@ -213,7 +205,7 @@ class TemperleyLiebTower(_DiagramTowerBase):
     ubar = dbar
 
     def pi(self, x, n):
-        ident = BrauerDiagram.identity(x.n)
+        ident = diagrams.BrauerDiagram.identity(x.n)
         c = x.coeffs.get(ident)
         return SymmetricGroupElement(0, {(): c} if c else {})
 
@@ -222,36 +214,39 @@ class PartitionTower(_DiagramTowerBase):
     """The tower A_0, A_1/2, A_1, ... with half-integer levels interleaved."""
 
     name = "partition"
-    diagram_cls = SetPartitionDiagram
     default_bound = 6
     axiom_bound = 4
+
+    @property
+    def diagram_cls(self):
+        return diagrams.SetPartitionDiagram
 
     def strands(self, n):
         return (n + 1) // 2
 
     def dim(self, n):
-        return bell_number(n)
+        return diagrams.bell_number(n)
 
     def h_dim(self, n):
         return math.factorial(n // 2)
 
     def basis_keys(self, n):
         if n % 2 == 0:
-            return partition_basis(n // 2)
-        return half_level_basis((n + 1) // 2)
+            return diagrams.partition_basis(n // 2)
+        return diagrams.half_level_basis((n + 1) // 2)
 
     def e_elt(self, i, n):
         s = self.strands(n)
         if i % 2 == 1:  # e_{2k-1} = p_k
-            return DiagramElement.from_diagram(SetPartitionDiagram.p_int((i + 1) // 2, s))
-        return DiagramElement.from_diagram(SetPartitionDiagram.p_half(i // 2, s))
+            return self.element_of_key(diagrams.SetPartitionDiagram.p_int((i + 1) // 2, s), n)
+        return self.element_of_key(diagrams.SetPartitionDiagram.p_half(i // 2, s), n)
 
     def generators(self, n):
         s = self.strands(n)
         out = []
         m = n // 2  # symmetric-group size at this level
         for i in range(1, m):
-            out.append((f"t{i}", DiagramElement.from_diagram(SetPartitionDiagram.t(i, s))))
+            out.append((f"t{i}", self.element_of_key(diagrams.SetPartitionDiagram.t(i, s), n)))
         for i in range(1, n):
             out.append((f"e{i}", self.e_elt(i, n)))
         return out
@@ -276,7 +271,7 @@ class PartitionTower(_DiagramTowerBase):
         return self.one(n)
 
     def pi(self, x, n):
-        g = quotient_to_symmetric(x)
+        g = diagrams.quotient_to_symmetric(x)
         m = n // 2
         out = {}
         for w, c in g.coeffs.items():
@@ -289,39 +284,43 @@ class BMWTower(_TowerBase):
     name = "bmw"
     field_vars = QZV
     has_contractions = True
-    default_bound = _bmw.DEFAULT_BOUND
     # products for axiom checks at index n live in rank n+1; the rank-4
     # model takes about 0.35 s to build and certify (2 vCPUs), so the
     # default sweep stops at n = 2 and a rank-3 verify never builds rank 4
     axiom_bound = 2
 
+    @property
+    def default_bound(self):
+        # read on use: importing the towers runs no BMW code
+        return bmw.DEFAULT_BOUND
+
     def dim(self, n):
-        return double_factorial_odd(n)
+        return diagrams.double_factorial_odd(n)
 
     def h_dim(self, n):
         return math.factorial(n)
 
     def basis_keys(self, n):
-        return tuple(d for d, _ in _bmw.bmw_normal_forms(n))
+        return tuple(d for d, _ in bmw.bmw_normal_forms(n))
 
     def element_of_key(self, key, n):
-        model = _bmw.bmw_model(n)
-        return _bmw.BMWElement.from_word(n, model.words[key])
+        model = bmw.bmw_model(n)
+        return bmw.BMWElement.from_word(n, model.words[key])
 
     def one(self, n):
-        return _bmw.BMWElement.one(n)
+        return bmw.BMWElement.one(n)
 
     def zero(self, n):
-        return _bmw.BMWElement(n)
+        return bmw.BMWElement(n)
 
     def e_elt(self, i, n):
-        return _bmw.BMWElement.e(n, i)
+        return bmw.BMWElement.e(n, i)
 
     def generators(self, n):
         out = []
         for i in range(1, n):
-            out.append((f"g{i}", _bmw.BMWElement.g(n, i)))
-            out.append((f"e{i}", _bmw.BMWElement.e(n, i)))
+            out.append((f"g{i}", bmw.BMWElement.g(n, i)))
+            out.append((f"e{i}", bmw.BMWElement.e(n, i)))
         return out
 
     def vector(self, x):
@@ -334,10 +333,10 @@ class BMWTower(_TowerBase):
         return young_lattice(depth)
 
     def braid(self, s, word, power):
-        return _bmw.BMWElement.from_word(s, word, _bmw.P_Q ** power)
+        return bmw.BMWElement.from_word(s, word, bmw.P_Q ** power)
 
     def pi(self, x, n):
-        return _bmw.bmw_to_hecke(x)
+        return bmw.bmw_to_hecke(x)
 
 
 class HeckeTower(_TowerBase):
@@ -421,7 +420,7 @@ def _longest_first(n):
 def _most_crossings_first(n):
     """The Brauer and BMW pivot key at rank n: most crossings first, ties
     in basis order."""
-    return _lead_first(brauer_basis(n), lambda d: -d.crossings())
+    return _lead_first(diagrams.brauer_basis(n), lambda d: -d.crossings())
 
 
 @cache
@@ -431,7 +430,7 @@ def _most_inversions_first(s):
     first, ties in basis order.  It is the permutation part of a
     diagram's length, not a proven leading term; at partition 7 it cut
     the lower factors from 629 to 275 entries."""
-    return _lead_first(partition_basis(s), lambda d: -d.propagating_inversions())
+    return _lead_first(diagrams.partition_basis(s), lambda d: -d.propagating_inversions())
 
 
 TOWERS = {

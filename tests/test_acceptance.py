@@ -10,7 +10,7 @@ import math
 import random
 
 from cellular_towers.bmw import BMWElement, bmw_model, bmw_to_brauer
-from cellular_towers.coeff import QV, RationalFunction
+from cellular_towers.coeff import QV
 from cellular_towers.combinatorics import (
     addable_nodes,
     add_node,
@@ -38,6 +38,7 @@ from cellular_towers.hecke import (
     permutation_module_report,
     restriction_filtration,
 )
+from cellular_towers.ratfunc import RationalFunction
 
 
 def line(num, ok, text):

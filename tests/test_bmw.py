@@ -27,7 +27,6 @@ from cellular_towers.coeff import (
     QZV,
     LaurentFraction,
     LaurentPoly,
-    RationalFunction,
     delta_as_qz,
     delta_eliminate,
 )
@@ -47,6 +46,7 @@ from cellular_towers.hecke import HeckeElement, d_branching
 from cellular_towers.combinatorics import addable_nodes, add_node, partitions_of
 from cellular_towers.framework import cellular_basis
 from cellular_towers.linalg import SpanSolver, acc
+from cellular_towers.ratfunc import RationalFunction
 from cellular_towers.towers import tower
 
 QP = LaurentPoly.gen(QZDV, "q")

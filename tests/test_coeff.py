@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers import coeff
+from cellular_towers import coeff, ratfunc
 from cellular_towers.coeff import (
     DELTA,
     DV,
@@ -16,15 +16,13 @@ from cellular_towers.coeff import (
     Z,
     LaurentFraction,
     LaurentPoly,
-    RationalFunction,
     delta_as_qz,
     delta_eliminate,
-    divexact,
     inverts_in_type,
     delta_restore,
-    poly_gcd,
 )
 from cellular_towers.errors import CoefficientRingError
+from cellular_towers.ratfunc import RationalFunction, divexact, poly_gcd
 
 
 def rand_poly(rng, vars=QV, terms=4, span=4):
@@ -128,6 +126,28 @@ def test_delta_eliminate_fixes_delta_free():
 def test_delta_eliminate_image():
     d = LaurentPoly.gen(QZDV, DELTA)
     assert delta_eliminate(d) == delta_as_qz()
+
+
+def test_delta_inverse_takes_its_gcd_once(monkeypatch):
+    """δ⁻¹ leaves LaurentFraction's ring and is reduced by one gcd when it
+    is first needed; later δ⁻¹ scalings reuse it and take none."""
+    calls = []
+    gcd = ratfunc.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    coeff._delta_inverse.cache_clear()
+    d_inv = LaurentPoly.gen(QZDV, DELTA, -1)
+    taken = []
+    for _ in range(3):
+        before = len(calls)
+        x = delta_eliminate(d_inv)
+        taken.append(len(calls) - before)
+        assert x * delta_as_qz() == 1
+    assert taken == [1, 0, 0]
 
 
 def test_zero_denominator_raises():
@@ -298,7 +318,7 @@ def _gcd_by_prs(a, b):
     ca, cb = a.int_content(), b.int_content()
     a = LaurentPoly(a.vars, {e: c // ca for e, c in a.terms.items()})
     b = LaurentPoly(b.vars, {e: c // cb for e, c in b.terms.items()})
-    return coeff._pos_normal(coeff._poly_gcd_prim(a, b) * gcd(ca, cb))
+    return ratfunc._pos_normal(ratfunc._poly_gcd_prim(a, b) * gcd(ca, cb))
 
 
 @st.composite
@@ -331,21 +351,21 @@ def test_gcd_filter_matches_prs(data):
 def test_gcd_filter_unlucky_point_falls_through():
     # z - q and z - r map to the same z - r when q goes to its point r, so
     # the images share a root although the polynomials are coprime
-    r = coeff._FILTER_POINTS[0]
+    r = ratfunc._FILTER_POINTS[0]
     q, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
     a, b = z - q, z - r
-    assert not coeff._coprime_images(a, b)
+    assert not ratfunc._coprime_images(a, b)
     assert poly_gcd(a, b) == 1
     assert poly_gcd(2 * a * (z + 1), 6 * b * (z + 1)) == 2 * (z + 1)
 
 
 def test_gcd_filter_vanishing_leading_coefficient_falls_through():
     # the leading coefficient q - r of a in z vanishes at q's point r
-    r = coeff._FILTER_POINTS[0]
+    r = ratfunc._FILTER_POINTS[0]
     q, z = LaurentPoly.gen(QZV, Q), LaurentPoly.gen(QZV, Z)
     a = (q - r) * z ** 2 + 1
-    assert coeff._image_mod_p(a.terms, 1, 2) is None
-    assert not coeff._coprime_images(a, z + 5)
+    assert ratfunc._image_mod_p(a.terms, 1, 2) is None
+    assert not ratfunc._coprime_images(a, z + 5)
     assert poly_gcd(a, z + 5) == 1
     # the common factor (q - r)z + 1 maps to the constant 1, so the images
     # z + 2 and z + 3 are coprime although the polynomials are not

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import DV, DELTA, LaurentPoly, RationalFunction
+from cellular_towers.coeff import DV, DELTA, LaurentPoly
 from cellular_towers.diagrams import (
     BrauerDiagram,
     DiagramElement,
@@ -28,6 +28,7 @@ from cellular_towers.diagrams import (
 from cellular_towers.errors import DomainError
 from cellular_towers.hecke import perm_len
 from cellular_towers.linalg import SpanSolver
+from cellular_towers.ratfunc import RationalFunction
 
 D = LaurentPoly.gen(DV, DELTA)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers import bmw, cli, coeff, framework, linalg
+from cellular_towers import bmw, cli, coeff, framework, linalg, ratfunc
 from cellular_towers.coeff import DV, DELTA, LaurentPoly
 from cellular_towers.combinatorics import add_node, addable_nodes, partitions_of, path_to_tableau
 from cellular_towers.diagrams import BrauerDiagram, DiagramElement, symmetric_to_diagrams
@@ -406,8 +406,8 @@ def test_bases_and_checks_take_no_polynomial_gcd(name, n, monkeypatch):
     # built; the BMW model is built afresh, since bmw_model keeps the one
     # built first
     calls, built = [], []
-    gcd = coeff.poly_gcd
-    init = coeff.RationalFunction.__init__
+    gcd = ratfunc.poly_gcd
+    init = ratfunc.RationalFunction.__init__
 
     def counted(a, b):
         calls.append((a, b))
@@ -417,14 +417,16 @@ def test_bases_and_checks_take_no_polynomial_gcd(name, n, monkeypatch):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(coeff, "poly_gcd", counted)
-    monkeypatch.setattr(coeff.RationalFunction, "__init__", counted_init)
+    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    monkeypatch.setattr(ratfunc.RationalFunction, "__init__", counted_init)
     if name == "bmw":
         bmw._Model(n)
     assert verify_cell_datum(CellDatum(name, n))["pass"]
     assert calls == [] and built == []
-    coeff.RationalFunction.one(coeff.QV)  # the probe sees a construction
-    assert len(built) == 1
+    # the probes see a construction and the gcd that reduces it
+    q = LaurentPoly.gen(coeff.QV, coeff.Q)
+    ratfunc.RationalFunction(q, q + 1)
+    assert len(built) == 1 and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

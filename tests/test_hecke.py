@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cellular_towers import framework
-from cellular_towers.coeff import QV, LaurentPoly, Q, RationalFunction
+from cellular_towers.coeff import QV, LaurentPoly, Q
 from cellular_towers.combinatorics import (
     addable_nodes,
     add_node,
@@ -20,6 +20,7 @@ from cellular_towers.combinatorics import (
 )
 from cellular_towers.errors import DomainError, SpecializationError
 from cellular_towers.hecke import (
+    TWIST,
     HeckeElement,
     apply_perm_to_tableau,
     cell_action,
@@ -39,6 +40,7 @@ from cellular_towers.hecke import (
     perm_inv,
     perm_len,
     perm_mul,
+    perm_s,
     permutation_module_report,
     reduced_word,
     restriction_filtration,
@@ -47,6 +49,8 @@ from cellular_towers.hecke import (
     tableau_permutation,
     u_branching,
 )
+from cellular_towers.linalg import acc
+from cellular_towers.ratfunc import RationalFunction
 
 QP = LaurentPoly.gen(QV, Q)
 QI = LaurentPoly.gen(QV, Q, -1)
@@ -95,6 +99,53 @@ def test_associativity_exhaustive_n3():
     els = [HeckeElement.t_perm(3, w) for w in all_perms(3)]
     for a, b, c in itertools.product(els, repeat=3):
         assert (a * b) * c == a * (b * c)
+
+
+# right multiplication as it was written before it swapped two values in
+# place and summed every product into one map: the reference for both
+
+
+def _times_gen_by_perm_mul(x, i):
+    out = {}
+    for w, c in x.coeffs.items():
+        acc(out, perm_mul(w, perm_s(i, x.n)), c)
+        if w.index(i) > w.index(i + 1):
+            acc(out, w, c * TWIST)
+    return HeckeElement._raw(x.n, out)
+
+
+def _mul_by_summed_elements(x, y):
+    out = HeckeElement(x.n)
+    for w, c in y.coeffs.items():
+        z = x
+        for i in reduced_word(w):
+            z = _times_gen_by_perm_mul(z, i)
+        out = out + z.scale(c)
+    return out
+
+
+def _random_element(rng, n, terms):
+    perms = all_perms(n)
+    coeffs = {}
+    for _ in range(terms):
+        c = {(rng.randint(-2, 2),): rng.randint(-3, 3) for _ in range(2)}
+        coeffs[rng.choice(perms)] = LaurentPoly(QV, c)
+    return HeckeElement(n, coeffs)
+
+
+def test_products_match_the_reference_in_key_order():
+    """times_gen and the product give the reference's coefficients, in its
+    key order, on random elements of ranks 1 to 5; small coefficients make
+    some sums cancel."""
+    rng = random.Random(24)
+    for n in range(1, 6):
+        for _ in range(12):
+            x, y = _random_element(rng, n, 6), _random_element(rng, n, 4)
+            for i in range(1, n):
+                got, want = x.times_gen(i), _times_gen_by_perm_mul(x, i)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+            got, want = x * y, _mul_by_summed_elements(x, y)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
 def test_involution():

@@ -20,11 +20,13 @@ from heapq import heapify, heappop, heappush
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import DV, QV, Q, LaurentFraction, LaurentPoly, RationalFunction
+from cellular_towers.coeff import DV, QV, Q, LaurentFraction, LaurentPoly, inverts_in_type
 from cellular_towers.diagrams import DELTA_POLY, BrauerDiagram, DiagramElement
 from cellular_towers.errors import DomainError, InternalInvariantError
 from cellular_towers.hecke import QONE, HeckeElement, SymmetricGroupElement
-from cellular_towers.linalg import SpanSolver
+from cellular_towers.framework import cellular_basis
+from cellular_towers.linalg import SpanSolver, _eliminate, vec_scale
+from cellular_towers.ratfunc import RationalFunction
 
 # pivot orders: the first residual key, or the lowest under a sort key
 PIVOT_KEYS = [None, lambda k: -k, lambda k: (k % 2, k)]
@@ -362,6 +364,79 @@ def test_express_after_more_inserts_is_fresh(data):
     # so coordinates must come through the steps recorded after the cut too
     check_query(solver, rows, new, early, n_keys, ring)
     check_query(solver, rows, new, data.draw(combinations(ring, rows)), n_keys, ring)
+
+
+class CopyingSpanSolver(SpanSolver):
+    """SpanSolver with `insert` as it was before stored rows were
+    back-reduced in place: each row holding the new pivot is copied and
+    rebuilt through `_eliminate`.  The reference for the solver's state."""
+
+    def insert(self, vec):
+        residual, lower = self._reduce(vec)
+        idx = self.n_inserted
+        self.n_inserted += 1
+        if not residual:
+            return "dep", None
+        keys = residual if self.pivot_key is None else sorted(residual, key=self.pivot_key)
+        pivot = next((k for k in keys if inverts_in_type(residual[k])), None)
+        if pivot is None:
+            pivot = next(iter(keys))
+        f = residual[pivot]
+        inv = f.inverse()
+        row = vec_scale(residual, inv)
+        pos, users = self._pos, self._users
+        here = len(self.pivots)
+        upper = {}
+        for k, r in list(self.by_key.items()):
+            g = r.get(pivot)
+            if g is not None:
+                r = dict(r)
+                del r[pivot]
+                self.by_key[k] = _eliminate(r, ((row, pivot, g),))
+                upper[pos[k]] = g
+                users[pos[k]].append(here)
+        self.by_key[pivot] = row
+        self.pivots.append((pivot, f))
+        self._steps.append((idx, inv, {pos[k]: c for k, c in lower.items()}, upper))
+        pos[pivot] = here
+        users.append([])
+        return "new", idx
+
+
+def ordered_state(solver):
+    """Every stored row, pivot and step of a solver, with the key order of
+    each map."""
+    return (
+        [(k, list(r.items())) for k, r in solver.by_key.items()],
+        solver.pivots,
+        [(idx, inv, list(low.items()), list(up.items())) for idx, inv, low, up in solver._steps],
+        solver._users,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_insert_matches_the_copying_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    n_keys = data.draw(st.integers(1, 5))
+    rows = data.draw(systems(ring, n_keys, data.draw(st.integers(0, 8))))
+    pivot_key = data.draw(st.sampled_from(PIVOT_KEYS))
+    solver, ref = SpanSolver(pivot_key), CopyingSpanSolver(pivot_key)
+    for vec in rows:
+        assert solver.insert(vec) == ref.insert(vec)
+        assert ordered_state(solver) == ordered_state(ref)
+
+
+@pytest.mark.parametrize("name,n", [("hecke", 4), ("brauer", 4), ("partition", 5), ("bmw", 3)])
+def test_tower_bases_insert_as_the_copying_reference(name, n):
+    """A tower's cellular basis, inserted in its order and pivot key, leaves
+    the reference's rows and steps, key order included."""
+    datum = cellular_basis(name, n)
+    ref = CopyingSpanSolver(datum.t.pivot_key(n))
+    for key in datum.index:
+        ref.insert(datum.t.vector(datum.elements[key]))
+    assert ordered_state(datum.solver) == ordered_state(ref)
+    assert any(up for *_, up in ref._steps)  # some row was back-reduced
 
 
 @settings(max_examples=100, deadline=None)
