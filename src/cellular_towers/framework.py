@@ -219,7 +219,13 @@ class CellDatum:
         """Insert the elements into a fresh solver in `index` order, pivoting
         in the tower's order; set `free` (no element depends on earlier
         ones) and, when they span A_n, the transition determinant `det`.
-        The action rows kept from an earlier solver are dropped."""
+        The action rows kept from an earlier solver are dropped.
+
+        The solver keeps each element's row in echelon form, as inserted;
+        `express` reduces against those rows and substitutes back through
+        the lower factors.  The rows are not back-reduced once the last
+        element is in: on these bases that costs more updates than it
+        saves on the reads that follow."""
         t = self.t
         self.solver = SpanSolver(pivot_key=t.pivot_key(self.n))
         self._actions = {}  # vertex -> action_rows(vertex)

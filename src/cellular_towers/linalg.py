@@ -7,25 +7,24 @@ LaurentFraction's ring (a non-integral basis; see SpanSolver.insert).
 SpanSolver tracks a row space incrementally -- the single reduction path
 used for every "rank certificate" in the package.
 
-Its stored rows are kept fully reduced, so pivots, ranks and determinants
-come straight from them.  Coordinates over the inserted vectors are not
-tracked row by row: each insertion records its elimination factors
-(Golub & Van Loan, Matrix Computations, sec. 3.1), and express substitutes
-back through them on every call, visiting only the steps that touch the
-coefficients it carries.  The inverse of the transition matrix, whose fill
-can be many times that of the factors, is never formed.  Coordinates are
-unique, since only the inserted vectors that enlarged the span receive
-any.
+Its stored rows are kept in row-echelon form (Golub & Van Loan, Matrix
+Computations, sec. 3.2): each is 1 at its pivot and 0 at every earlier
+pivot, and is never rewritten once stored, so pivots, ranks and
+determinants come straight from them.  Coordinates over the inserted
+vectors are not tracked row by row: each insertion records its lower
+elimination factor (sec. 3.1), and express substitutes back through those
+factors on every call, last row first, visiting only the rows that carry a
+coefficient.  The inverse of the transition matrix, whose fill can be many
+times that of the factors, is never formed.  Coordinates are unique, since
+only the inserted vectors that enlarged the span receive any.
 
 Reduction and substitution sum their updates s − c·g, the saxpy of
 Golub & Van Loan sec. 1.1, into working values (`coeff._acc_submul`): a
 LaurentFraction coefficient becomes a term map over a running common
 denominator, updated in place and normalized once, when it becomes a
-residual entry or a step's value; any other field element computes
-`s - c * g`, so the solver stays generic.  A stored row's own pivot entry
-always cancels, so it is never computed.  A new row is subtracted from
-each stored row that holds its pivot in place, touching only the new
-row's keys.
+residual entry, a multiplier or a coordinate; any other field element
+computes `s - c * g`, so the solver stays generic.  A stored row's own
+pivot entry always cancels, so it is never computed.
 
 The algebra elements of the Hecke, group-algebra, diagram and BMW towers
 are the same kind of sparse map, key to nonzero coefficient: `SparseElement`
@@ -33,51 +32,10 @@ holds one, and `acc` is the single accumulate step every element product
 and sum goes through.
 """
 
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
 from .coeff import LaurentFraction, _acc_submul, _acc_value, inverts_in_type
 from .errors import InternalInvariantError
-
-
-def _eliminate(out, subtractions):
-    """out − f·row for each (row, pivot, f) of `subtractions` in turn, in
-    a new dict; the working copy `out` is consumed.
-
-    Each row is 1 at `pivot`, the very key object under which the row holds
-    that entry, and out must not hold the key: its entry f − f·1 cancels
-    exactly, so it is dropped instead of computed.  Every other entry
-    is updated in place through `_acc_submul` and normalized once at the
-    end.  An entry that cancels is dropped when it does, so the keys keep
-    the order that subtracting the rows one by one gives them."""
-    for row, pivot, f in subtractions:
-        for key, c in row.items():
-            if key is pivot:
-                continue
-            s = out.get(key)
-            r = _acc_submul(s, c, f)
-            if not r:
-                if s is not None:
-                    del out[key]
-            elif r is not s:
-                out[key] = r
-    return {key: _acc_value(s) for key, s in out.items()}
-
-
-def _back_reduce(r, row, pivot, g):
-    """r − g·row in place, for a stored row r that held g at the new row's
-    `pivot`, already popped: only the keys of `row` are touched, each
-    normalized once, in row's key order.  The values and the key order are
-    those `_eliminate` gives on a copy of r."""
-    for key, c in row.items():
-        if key is pivot:
-            continue
-        s = r.get(key)
-        t = _acc_value(_acc_submul(s, c, g))
-        if t:
-            r[key] = t
-        elif s is not None:
-            del r[key]
 
 
 def vec_scale(a, f):
@@ -188,34 +146,33 @@ class SpanSolver:
     index counts every insertion, dependent ones included.
 
     A new row's pivot is the first residual key, in `pivot_key` order when
-    one is given and in the residual's key order otherwise, whose value
-    inverts inside its own type (`coeff.inverts_in_type`), so that a
-    LaurentFraction pivot keeps the row in its ring; the first key when no
-    value does, as on a non-integral basis, and the row then holds the
-    RationalFunctions of that pivot's inverse.  Coordinates over the inserted vectors
-    are unique and the determinant does not depend on the pivots, so the
-    choice changes no answer, only the work.
+    one is given and in the residual's key order otherwise (see `_reduce`),
+    whose value inverts inside its own type (`coeff.inverts_in_type`), so
+    that a LaurentFraction pivot keeps the row in its ring; the first key
+    when no value does, as on a non-integral basis, and the row then holds
+    the RationalFunctions of that pivot's inverse.  Coordinates over the
+    inserted vectors are unique and the determinant does not depend on the
+    pivots, so the choice changes no answer, only the work.
 
-    Each stored row has a 1 at its pivot and 0 at every other pivot.  A new
-    row's insertion records, as one step, its lower factor (the multiplier
-    of each stored row subtracted while reducing the vector) and its upper
-    factor (the multiplier with which the new row was subtracted from each
-    older row holding its pivot).  express(vec) substitutes back through
-    those steps and returns the coordinates of vec over the inserted
-    vectors, or None when vec lies outside the span.
+    The rows are kept in row-echelon form, in insertion order: each is the
+    new vector's residual scaled to 1 at its pivot, so it is 0 at every
+    earlier pivot, and it is never touched again.  A new row's insertion
+    records, as one step, its lower factor: the multiplier of each earlier
+    row subtracted while reducing the vector.  express(vec) reduces vec the
+    same way and substitutes back through those steps, last row first, and
+    returns the coordinates of vec over the inserted vectors, or None when
+    vec lies outside the span.
     """
 
     def __init__(self, pivot_key=None):
         self.pivots = []  # (key, pivot entry before normalization), one per row
-        self.by_key = {}  # pivot key -> fully reduced row
+        self.rows = []  # the echelon rows, by row position
         self.n_inserted = 0
         self.pivot_key = pivot_key  # optional sort key; low values tried first
-        # the factors, one step per row, rows named by their position in
-        # pivots: (index, 1/pivot entry, lower, upper) with lower and upper
-        # mapping row positions to multipliers
+        # one step per row: (index, 1/pivot entry, lower), lower mapping the
+        # positions of earlier rows to their multipliers
         self._steps = []
         self._pos = {}  # pivot key -> row position
-        self._users = []  # row position -> later steps with it in upper
 
     @property
     def rank(self):
@@ -223,24 +180,50 @@ class SpanSolver:
 
     def _reduce(self, vec):
         """The residual of vec against the stored rows and the multiplier of
-        each row subtracted, in the order subtracted.
+        each row subtracted, by row position, in the order subtracted.
 
-        A stored row is 0 at every other pivot, so subtracting it leaves
-        vec's entries at the other pivot keys as they are: the multipliers
-        are those entries, taken in vec's key order, and one working copy
-        of the rest takes every subtraction, or is the residual itself
-        when vec holds no pivot key."""
-        by_key, pos, pivots = self.by_key, self._pos, self.pivots
-        lower, out = {}, {}
-        for k, f in vec.items():
-            if k in by_key:
-                lower[k] = f
-            else:
-                out[k] = f
-        if not lower:
-            return out, lower
-        rows = ((by_key[k], pivots[pos[k]][0], f) for k, f in lower.items())
-        return _eliminate(out, rows), lower
+        A row may hold later pivots but no earlier one, so the rows are
+        subtracted in position order, through a heap of the positions whose
+        pivot the working copy holds: a subtraction can bring in a later
+        pivot, never undo an earlier one.  Each multiplier is the working
+        entry at the row's pivot, normalized once; that entry cancels
+        exactly and is dropped instead of computed.  Every other entry is
+        updated through `_acc_submul` and normalized once in the residual.
+
+        The residual's keys come in the order the subtractions leave them:
+        vec's own keys in vec's order, then each key a subtraction brings
+        in, in the order the rows are subtracted and in each row's key
+        order.  An entry that cancels is dropped when it does, and goes to
+        the end if a later row brings it back.  With no pivot key, this
+        order picks the next pivot."""
+        pos = self._pos
+        out = dict(vec)
+        heap = [pos[k] for k in vec if k in pos]
+        if not heap:
+            return out, {}
+        heapify(heap)
+        pivots, rows, lower = self.pivots, self.rows, {}
+        while heap:
+            p = heappop(heap)
+            pivot = pivots[p][0]
+            f = out.pop(pivot, None)
+            if f is None:
+                # cancelled, or already subtracted under a second push
+                continue
+            f = lower[p] = _acc_value(f)
+            for key, c in rows[p].items():
+                if key is pivot:
+                    continue
+                s = out.get(key)
+                r = _acc_submul(s, c, f)
+                if not r:
+                    if s is not None:
+                        del out[key]
+                elif r is not s:
+                    out[key] = r
+                    if s is None and key in pos:
+                        heappush(heap, pos[key])
+        return {key: _acc_value(s) for key, s in out.items()}, lower
 
     def insert(self, vec):
         residual, lower = self._reduce(vec)
@@ -254,77 +237,47 @@ class SpanSolver:
             pivot = next(iter(keys))
         f = residual[pivot]
         inv = f.inverse()
-        row = vec_scale(residual, inv)
-        pos, users = self._pos, self._users
-        here = len(self.pivots)
-        # keep stored rows fully reduced against the new pivot, in place
-        upper = {}
-        for k, r in self.by_key.items():
-            g = r.pop(pivot, None)
-            if g is not None:
-                _back_reduce(r, row, pivot, g)
-                upper[pos[k]] = g
-                users[pos[k]].append(here)
-        self.by_key[pivot] = row
+        self._pos[pivot] = len(self.pivots)
         self.pivots.append((pivot, f))
-        self._steps.append((idx, inv, {pos[k]: c for k, c in lower.items()}, upper))
-        pos[pivot] = here
-        users.append([])
+        self.rows.append(vec_scale(residual, inv))
+        self._steps.append((idx, inv, lower))
         return "new", idx
 
     def express(self, vec):
         """Coordinates of vec over the inserted vectors, or None if outside;
-        substituted back through the factors, last step first."""
-        residual, lower = self._reduce(vec)
+        substituted back through the steps, last row first.
+
+        coeffs holds vec's coefficients over the rows not yet undone.  Row
+        p is inv·(its inserted vector − Σ lower[r]·row r) over earlier rows
+        r only, so once every later row is undone, p's coefficient s is
+        final: the inserted vector gets x = s·inv, and each row r of the
+        lower factor gets −lower[r]·x."""
+        residual, coeffs = self._reduce(vec)
         if residual:
             return None
-        steps, users = self._steps, self._users
-        # coeffs holds vec's coefficients over the rows as they stand after
-        # the step being undone; undoing it rewrites them over the rows
-        # before it plus the vector that step inserted, and changes them
-        # only if they include its row or a row of its upper factor
-        coeffs = {self._pos[k]: c for k, c in lower.items()}
-        due = set(coeffs)
-        for p in coeffs:
-            due.update(users[p])
-        heap = [-p for p in due]
+        steps = self._steps
+        heap = [-p for p in coeffs]
         heapify(heap)
         out = []
         while heap:
-            here = -heappop(heap)
-            idx, inv, low, upper = steps[here]
-            s = coeffs.pop(here, None)
-            # the rows both in upper and in coeffs, found from the smaller
-            if len(upper) <= len(coeffs):
-                for p, g in upper.items():
-                    c = coeffs.get(p)
-                    if c is not None:
-                        s = _acc_submul(s, c, g)
-            else:
-                for p, c in coeffs.items():
-                    g = upper.get(p)
-                    if g is not None:
-                        s = _acc_submul(s, c, g)
-            if not s:
+            p = -heappop(heap)
+            s = coeffs.pop(p, None)
+            if s is None:
+                # cancelled, or already undone under a second push
                 continue
+            idx, inv, low = steps[p]
             x = _acc_value(s) * inv
             out.append((idx, x))
-            for p, c in low.items():
-                r = coeffs.get(p)
-                if r is None:
-                    # a row new to coeffs makes its own and earlier steps due
-                    coeffs[p] = _acc_submul(None, c, x)
-                    later = users[p]
-                    for q in (p, *later[: bisect_left(later, here)]):
-                        if q not in due:
-                            due.add(q)
-                            heappush(heap, -q)
-                    continue
-                t = _acc_submul(r, c, x)
-                if not t:
-                    del coeffs[p]
-                elif t is not r:
-                    coeffs[p] = t
+            for r, c in low.items():
+                t = coeffs.get(r)
+                u = _acc_submul(t, c, x)
+                if not u:
+                    if t is not None:
+                        del coeffs[r]
+                elif u is not t:
+                    coeffs[r] = u
+                    if t is None:
+                        heappush(heap, -r)
         return dict(reversed(out))
 
     def contains(self, vec):

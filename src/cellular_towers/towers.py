@@ -405,8 +405,10 @@ def _lead_first(keys, order):
     at Hecke (Murphy 1995, J. Algebra 173) and the diagram with the most
     crossings at Brauer and BMW.  A basis element rarely holds the leading
     term of another, so a vector meets few pivots and the lower factors
-    that `express` substitutes through stay short; and each pivot entry
-    is a single term, which inverts without a gcd."""
+    that `express` substitutes through stay short, and so do the echelon
+    rows, which keep every later pivot they hold (brauer 4: 389 row
+    entries, against 463 with the first residual key as pivot); and each
+    pivot entry is a single term, which inverts without a gcd."""
     return {k: i for i, k in enumerate(sorted(keys, key=order))}.__getitem__
 
 

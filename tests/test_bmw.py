@@ -343,6 +343,15 @@ def test_model_stays_in_laurent_fractions(n):
             assert all(type(c) is LaurentFraction for c in row.values())
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_model_solver_pivots_on_the_newest_vector(n):
+    """Each echelon row of the model's coordinate solver pivots on the
+    newest enumerated vector it holds, as a coincidence eliminates the
+    newest vector of its support."""
+    solver = bmw_model(n)._coords
+    assert all(pivot == max(row) for (pivot, _), row in zip(solver.pivots, solver.rows))
+
+
 def test_cellular_basis_stays_in_laurent_fractions():
     datum = cellular_basis("bmw", 3)
     for x in datum.elements.values():

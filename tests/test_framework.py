@@ -394,7 +394,7 @@ def test_tower_pivot_order_keeps_coordinates_and_det(name, n, monkeypatch):
     assert all(len(f.terms) == 1 for _, f in datum.solver.pivots)
 
     def lower_entries(solver):
-        return sum(len(low) for _, _, low, _ in solver._steps)
+        return sum(len(low) for _, _, low in solver._steps)
 
     assert lower_entries(datum.solver) <= lower_entries(plain)
 

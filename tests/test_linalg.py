@@ -8,24 +8,22 @@ RationalFunction entries: the systems' own, or those equal to their
 LaurentFraction entries.  Coordinates are unique whenever they exist
 (only the vectors that enlarged the span get any), so it is enough that
 `express` puts them on those vectors only and rebuilds the vector it was
-given.  Reduction is also checked against the rescanning loop it
-replaced, and `express` against substitution with one `s - c * g` per
-update, key order included.
+given.  Reduction is also checked against a rescanning loop, and `express`
+against substitution with one `s - c * g` per update, key order included;
+the stored rows stay in row-echelon form and are never rewritten.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellular_towers.coeff import DV, QV, Q, LaurentFraction, LaurentPoly, inverts_in_type
+from cellular_towers.coeff import DV, QV, Q, LaurentFraction, LaurentPoly
 from cellular_towers.diagrams import DELTA_POLY, BrauerDiagram, DiagramElement
 from cellular_towers.errors import DomainError, InternalInvariantError
 from cellular_towers.hecke import QONE, HeckeElement, SymmetricGroupElement
 from cellular_towers.framework import cellular_basis
-from cellular_towers.linalg import SpanSolver, _eliminate, vec_scale
+from cellular_towers.linalg import SpanSolver
 from cellular_towers.ratfunc import RationalFunction
 
 # pivot orders: the first residual key, or the lowest under a sort key
@@ -179,63 +177,56 @@ def rebuild(coords, rows):
 
 def reduce_reference(solver, vec):
     """The residual and multipliers by rescanning: subtract the row of the
-    first pivot key left in the vector until none is left, one copy per
-    step."""
+    earliest pivot left in the vector until none is left, one copy per
+    step, and record each multiplier under the row's position."""
+    pos = {k: p for p, (k, _) in enumerate(solver.pivots)}
     lower = {}
     vec = dict(vec)
-    while vec:
-        hit = next((k for k in vec if k in solver.by_key), None)
-        if hit is None:
-            break
-        f = vec[hit]
-        lower[hit] = f
-        vec = vec_sub_scaled(vec, solver.by_key[hit], f)
-    return vec, lower
+    while True:
+        hits = [pos[k] for k in vec if k in pos]
+        if not hits:
+            return vec, lower
+        p = min(hits)
+        f = vec[solver.pivots[p][0]]
+        lower[p] = f
+        vec = vec_sub_scaled(vec, solver.rows[p], f)
 
 
 def express_reference(solver, vec):
     """`express` with every update one `s - c * g` on field values, over
-    the rescanning reduction: the same steps in the same order, so the
-    coordinates come in the same order."""
-    residual, lower = reduce_reference(solver, vec)
+    the rescanning reduction, visiting every row from the last one back:
+    the same updates in the same order, so the coordinates come in the
+    same order."""
+    residual, coeffs = reduce_reference(solver, vec)
     if residual:
         return None
-    steps, users = solver._steps, solver._users
-    coeffs = {solver._pos[k]: c for k, c in lower.items()}
-    due = set(coeffs)
-    for p in coeffs:
-        due.update(users[p])
-    heap = [-p for p in due]
-    heapify(heap)
     out = []
-    while heap:
-        here = -heappop(heap)
-        idx, inv, low, upper = steps[here]
-        s = coeffs.pop(here, None)
-        for p, g in upper.items():
-            c = coeffs.get(p)
-            if c is not None:
-                s = -(c * g) if s is None else s - c * g
-        if not s:
+    for p in reversed(range(solver.rank)):
+        s = coeffs.pop(p, None)
+        if s is None:
             continue
+        idx, inv, low = solver._steps[p]
         x = s * inv
         out.append((idx, x))
-        for p, c in low.items():
-            r = coeffs.get(p)
-            if r is None:
-                coeffs[p] = -(c * x)
-                later = users[p]
-                for q in (p, *later[: bisect_left(later, here)]):
-                    if q not in due:
-                        due.add(q)
-                        heappush(heap, -q)
-                continue
-            r = r - c * x
-            if r:
-                coeffs[p] = r
+        for r, c in low.items():
+            t = coeffs[r] - c * x if r in coeffs else -(c * x)
+            if t:
+                coeffs[r] = t
             else:
-                del coeffs[p]
+                coeffs.pop(r, None)
     return dict(reversed(out))
+
+
+def check_echelon(solver):
+    """The stored rows are in row-echelon form: each is 1 at its own pivot
+    and 0 at every earlier one, and each step's lower factor names earlier
+    rows only."""
+    assert len(solver.rows) == len(solver._steps) == solver.rank
+    for p, ((pivot, f), row) in enumerate(zip(solver.pivots, solver.rows)):
+        assert solver._pos[pivot] == p
+        assert row[pivot] * f == f  # 1 at the pivot, whatever its type
+        assert all(solver._pos.get(k, p) >= p for k in row)
+        assert all(r < p and c for r, c in solver._steps[p][2].items())
 
 
 def check_reduce(solver, vec):
@@ -279,6 +270,7 @@ def insert_all(solver, rows, done, n_keys, ring):
             new.add(j)
     assert solver.rank == ref_rank(rows, n_keys, ring)
     assert solver.n_inserted == len(rows)
+    check_echelon(solver)
     return new
 
 
@@ -294,15 +286,15 @@ def test_insert_and_coordinates_match_reference(data):
     queries += [{k: one(ring)} for k in range(n_keys)]
     # each stored row starts the substitution from a single coefficient,
     # so the rows its lower factor brings in must be undone as well
-    queries += list(solver.by_key.values())
+    queries += solver.rows
     for vec in queries:
         check_query(solver, rows, new, vec, n_keys, ring)
 
 
 def test_row_brought_in_by_a_lower_factor_is_undone():
     """Rows a+b, b, a+c, then the query c: undoing the third step brings in
-    the first row, whose back-reduction by the second must be undone too,
-    although the query's own reduction touched neither."""
+    the first two rows through its lower factor, and both must be undone
+    too, although the query's own reduction touched neither."""
     one = RationalFunction.one(())
     solver = SpanSolver()
     for vec in ({"a": one, "b": one}, {"b": one}, {"a": one, "c": one}):
@@ -311,19 +303,24 @@ def test_row_brought_in_by_a_lower_factor_is_undone():
 
 
 def test_reduction_keeps_the_rescanning_order():
-    """Rows p+x and r+y+x, then the vector r+p: subtracting the rows in the
-    vector's key order appends y before x, and with no pivot key the first
-    residual key becomes the next pivot."""
+    """Rows p+x, x+y and r+z, then the vector r+p.  The first row holds
+    the second's pivot x, so the rows go in position order, not in the
+    vector's key order: subtracting p+x brings in x, x+y then brings in y,
+    and r+z brings in z last.  With no pivot key the first residual key,
+    y, becomes the next pivot."""
     one = RationalFunction.one(())
     solver = SpanSolver()
-    solver.insert({"p": one, "x": one})
-    solver.insert({"r": one, "y": one, "x": one})
+    for vec in ({"p": one, "x": one}, {"x": one, "y": one}, {"r": one, "z": one}):
+        solver.insert(vec)
+    assert [k for k, _ in solver.pivots] == ["p", "x", "r"]
     vec = {"r": one, "p": one}
     check_reduce(solver, vec)
     residual, lower = solver._reduce(vec)
-    assert list(residual) == ["y", "x"] and list(lower) == ["r", "p"]
+    assert list(residual) == ["y", "z"] and lower == {0: one, 1: -one, 2: one}
+    assert list(lower) == [0, 1, 2]
     solver.insert(vec)
     assert solver.pivots[-1][0] == "y"
+    check_echelon(solver)
 
 
 def test_insert_prefers_a_unit_pivot():
@@ -360,57 +357,29 @@ def test_express_after_more_inserts_is_fresh(data):
     early = data.draw(combinations(ring, rows[:cut]))
     check_query(solver, rows[:cut], new, early, n_keys, ring)
     new |= insert_all(solver, rows, cut, n_keys, ring)
-    # the rows stored before the cut were reduced against the new pivots,
-    # so coordinates must come through the steps recorded after the cut too
+    # the steps recorded after the cut substitute back into the rows stored
+    # before it, which must read as they did
     check_query(solver, rows, new, early, n_keys, ring)
     check_query(solver, rows, new, data.draw(combinations(ring, rows)), n_keys, ring)
 
 
 class CopyingSpanSolver(SpanSolver):
-    """SpanSolver with `insert` as it was before stored rows were
-    back-reduced in place: each row holding the new pivot is copied and
-    rebuilt through `_eliminate`.  The reference for the solver's state."""
+    """SpanSolver with `insert` over the rescanning reduction: every update
+    one `s - c * g` on field values, each subtraction on a fresh copy.  The
+    reference for the solver's state."""
 
-    def insert(self, vec):
-        residual, lower = self._reduce(vec)
-        idx = self.n_inserted
-        self.n_inserted += 1
-        if not residual:
-            return "dep", None
-        keys = residual if self.pivot_key is None else sorted(residual, key=self.pivot_key)
-        pivot = next((k for k in keys if inverts_in_type(residual[k])), None)
-        if pivot is None:
-            pivot = next(iter(keys))
-        f = residual[pivot]
-        inv = f.inverse()
-        row = vec_scale(residual, inv)
-        pos, users = self._pos, self._users
-        here = len(self.pivots)
-        upper = {}
-        for k, r in list(self.by_key.items()):
-            g = r.get(pivot)
-            if g is not None:
-                r = dict(r)
-                del r[pivot]
-                self.by_key[k] = _eliminate(r, ((row, pivot, g),))
-                upper[pos[k]] = g
-                users[pos[k]].append(here)
-        self.by_key[pivot] = row
-        self.pivots.append((pivot, f))
-        self._steps.append((idx, inv, {pos[k]: c for k, c in lower.items()}, upper))
-        pos[pivot] = here
-        users.append([])
-        return "new", idx
+    def _reduce(self, vec):
+        return reduce_reference(self, vec)
 
 
 def ordered_state(solver):
     """Every stored row, pivot and step of a solver, with the key order of
     each map."""
     return (
-        [(k, list(r.items())) for k, r in solver.by_key.items()],
+        [list(r.items()) for r in solver.rows],
         solver.pivots,
-        [(idx, inv, list(low.items()), list(up.items())) for idx, inv, low, up in solver._steps],
-        solver._users,
+        [(idx, inv, list(low.items())) for idx, inv, low in solver._steps],
+        solver._pos,
     )
 
 
@@ -427,6 +396,10 @@ def test_insert_matches_the_copying_reference(data):
         assert ordered_state(solver) == ordered_state(ref)
 
 
+def holds_a_later_pivot(solver):
+    return any(solver._pos.get(k, p) > p for p, row in enumerate(solver.rows) for k in row)
+
+
 @pytest.mark.parametrize("name,n", [("hecke", 4), ("brauer", 4), ("partition", 5), ("bmw", 3)])
 def test_tower_bases_insert_as_the_copying_reference(name, n):
     """A tower's cellular basis, inserted in its order and pivot key, leaves
@@ -436,7 +409,38 @@ def test_tower_bases_insert_as_the_copying_reference(name, n):
     for key in datum.index:
         ref.insert(datum.t.vector(datum.elements[key]))
     assert ordered_state(datum.solver) == ordered_state(ref)
-    assert any(up for *_, up in ref._steps)  # some row was back-reduced
+    check_echelon(ref)
+    # some row holds a later pivot, so reduction must follow row positions
+    assert holds_a_later_pivot(ref)
+
+
+def snapshot(solver):
+    """Each stored row, by identity and by its items in order."""
+    return [(r, list(r.items())) for r in solver.rows]
+
+
+def check_rows_unchanged(solver, before):
+    assert len(solver.rows) >= len(before)
+    for r, (kept, items) in zip(solver.rows, before):
+        assert r is kept and list(r.items()) == items
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stored_rows_are_never_rewritten(data):
+    """A row stored by `insert` reads the same, as the same dict, after
+    every later insert and express."""
+    ring = data.draw(st.sampled_from(RINGS))
+    n_keys = data.draw(st.integers(2, 5))
+    rows = data.draw(systems(ring, n_keys, data.draw(st.integers(2, 8))))
+    solver = SpanSolver(pivot_key=data.draw(st.sampled_from(PIVOT_KEYS)))
+    kept = []
+    for vec in rows:
+        solver.insert(vec)
+        check_rows_unchanged(solver, kept)
+        kept = snapshot(solver)
+        solver.express(data.draw(combinations(ring, rows)))
+        check_rows_unchanged(solver, kept)
 
 
 @settings(max_examples=100, deadline=None)
